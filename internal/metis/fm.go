@@ -68,8 +68,12 @@ func (h *gainHeap) pop() (gainEntry, bool) {
 }
 
 // refineFM improves the bisection in place. target0 is the desired side-0
-// weight and tol the multiplicative imbalance allowance (>= 1).
-func refineFM(w *wgraph, side []uint8, target0 int64, tol float64, maxPasses int) {
+// weight and tol the multiplicative imbalance allowance (>= 1). Its gain,
+// lock, heap and move-order buffers live in s and keep their capacity
+// across calls.
+//
+//graphpart:hotpath test=TestHotPathAllocs_MetisLevel
+func refineFM(w *wgraph, side []uint8, target0 int64, tol float64, maxPasses int, s *fmScratch) {
 	n := w.numVertices()
 	if n == 0 {
 		return
@@ -80,43 +84,39 @@ func refineFM(w *wgraph, side []uint8, target0 int64, tol float64, maxPasses int
 		int64(float64(target0) * tol),
 		int64(float64(target1) * tol),
 	}
-	gain := make([]int64, n)
-	locked := make([]bool, n)
-	inHeap := make([]bool, n) // has a current entry; avoids duplicate seeding
-	var heaps [2]gainHeap
-	moveOrder := make([]int32, 0, 256)
+	// Every pass rewrites gain[v] and locked[v] for all v before reading.
+	s.gain = grow(s.gain, n)
+	s.locked = grow(s.locked, n)
+	gain, locked, heaps := s.gain, s.locked, &s.heaps
+	moveOrder := s.moveOrder[:0]
 
 	for pass := 0; pass < maxPasses; pass++ {
 		w0, w1 := sideWeights(w, side)
 		weights := [2]int64{w0, w1}
 		heaps[0] = heaps[0][:0]
 		heaps[1] = heaps[1][:0]
-		for v := range locked {
-			locked[v] = false
-			inHeap[v] = false
-		}
+		clear(locked)
 		// Seed with boundary vertices only.
 		for v := int32(0); int(v) < n; v++ {
 			g, boundary := gainAndBoundary(w, side, v)
 			gain[v] = g
 			if boundary {
 				heaps[side[v]].push(gainEntry{gain: g, v: v})
-				inHeap[v] = true
 			}
 		}
 		moveOrder = moveOrder[:0]
 		var cumGain, bestGain int64
 		bestPrefix := 0
 		for {
-			v, ok := popBest(&heaps, gain, locked, side, weights, maxW, w)
+			v, ok := popBest(heaps, gain, locked, side, weights, maxW, w)
 			if !ok {
 				break
 			}
-			s := side[v]
+			from := side[v]
 			vw := int64(w.vwgt[v])
-			side[v] = 1 - s
-			weights[s] -= vw
-			weights[1-s] += vw
+			side[v] = 1 - from
+			weights[from] -= vw
+			weights[1-from] += vw
 			locked[v] = true
 			cumGain += gain[v]
 			moveOrder = append(moveOrder, v)
@@ -136,7 +136,6 @@ func refineFM(w *wgraph, side []uint8, target0 int64, tol float64, maxPasses int
 					gain[u] += 2 * int64(wts[i])
 				}
 				heaps[side[u]].push(gainEntry{gain: gain[u], v: u})
-				inHeap[u] = true
 			}
 			// A long losing streak on a large level will not recover;
 			// stop the pass early.
@@ -146,13 +145,13 @@ func refineFM(w *wgraph, side []uint8, target0 int64, tol float64, maxPasses int
 		}
 		for i := len(moveOrder) - 1; i >= bestPrefix; i-- {
 			v := moveOrder[i]
-			s := side[v]
-			side[v] = 1 - s
+			side[v] = 1 - side[v]
 		}
 		if bestGain <= 0 {
-			return
+			break
 		}
 	}
+	s.moveOrder = moveOrder
 }
 
 // popBest returns the best movable unlocked vertex across both heaps,
@@ -174,13 +173,11 @@ func popBest(heaps *[2]gainHeap, gain []int64, locked []bool, side []uint8,
 		}
 	}
 	// Filter by balance: moving from side s adds weight to side 1-s.
-	movable := func(s int) bool {
-		if !has[s] {
-			return false
-		}
-		return weights[1-s]+int64(w.vwgt[tops[s].v]) <= maxW[1-s]
+	var movable [2]bool
+	for s := 0; s < 2; s++ {
+		movable[s] = has[s] && weights[1-s]+int64(w.vwgt[tops[s].v]) <= maxW[1-s]
 	}
-	m0, m1 := movable(0), movable(1)
+	m0, m1 := movable[0], movable[1]
 	switch {
 	case m0 && m1:
 		s := 0

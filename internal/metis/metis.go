@@ -91,7 +91,7 @@ func (m *Partitioner) VertexPartition(g *graph.Graph, p int) ([]int32, error) {
 		verts[i] = int32(i)
 	}
 	r := rng.New(m.cfg.Seed ^ 0x4d455449) // "METI"
-	m.recursiveBisect(w, verts, p, 0, labels, r)
+	m.recursiveBisect(w, verts, p, 0, labels, r, &arena{})
 	return labels, nil
 }
 
@@ -101,7 +101,7 @@ func (m *Partitioner) VertexPartition(g *graph.Graph, p int) ([]int32, error) {
 //
 // w must be the weighted graph of exactly the verts subset (w vertex i
 // corresponds to verts[i]).
-func (m *Partitioner) recursiveBisect(w *wgraph, verts []int32, p int, base int32, labels []int32, r *rng.RNG) {
+func (m *Partitioner) recursiveBisect(w *wgraph, verts []int32, p int, base int32, labels []int32, r *rng.RNG, a *arena) {
 	if p == 1 || w.numVertices() == 0 {
 		for _, orig := range verts {
 			labels[orig] = base
@@ -112,20 +112,22 @@ func (m *Partitioner) recursiveBisect(w *wgraph, verts []int32, p int, base int3
 	p1 := p - p0
 	total := w.totalVertexWeight()
 	target0 := total * int64(p0) / int64(p)
-	side := m.bisect(w, target0, r)
-	// Split vertices and build the two induced weighted subgraphs.
-	sub0, verts0 := inducedWGraph(w, verts, side, 0)
-	sub1, verts1 := inducedWGraph(w, verts, side, 1)
-	m.recursiveBisect(sub0, verts0, p0, base, labels, r)
-	m.recursiveBisect(sub1, verts1, p1, base+int32(p0), labels, r)
+	// side lives in the arena: it must be consumed before the recursion
+	// below bisects again.
+	side := m.bisect(w, target0, r, a)
+	sub0, verts0 := inducedWGraph(w, verts, side, 0, a)
+	sub1, verts1 := inducedWGraph(w, verts, side, 1, a)
+	m.recursiveBisect(sub0, verts0, p0, base, labels, r, a)
+	m.recursiveBisect(sub1, verts1, p1, base+int32(p0), labels, r, a)
 }
 
 // bisect runs the multilevel V-cycle on w: coarsen, initial partition,
-// uncoarsen with refinement.
-func (m *Partitioner) bisect(w *wgraph, target0 int64, r *rng.RNG) []uint8 {
+// uncoarsen with refinement. The returned side is an arena buffer.
+func (m *Partitioner) bisect(w *wgraph, target0 int64, r *rng.RNG, a *arena) []uint8 {
 	cfg := m.cfg
 	// Coarsening phase.
-	levels := []level{{g: w}}
+	a.level(0).g = w
+	depth := 1
 	cur := w
 	totalW := w.totalVertexWeight()
 	// Cap coarse vertex weight so one mega-vertex cannot block balance.
@@ -134,59 +136,48 @@ func (m *Partitioner) bisect(w *wgraph, target0 int64, r *rng.RNG) []uint8 {
 		maxVWgt = 1
 	}
 	for cur.numVertices() > cfg.CoarsenTo {
-		match, coarseN := heavyEdgeMatching(cur, r, maxVWgt)
+		match, coarseN := heavyEdgeMatching(cur, r, maxVWgt, a)
 		if coarseN >= cur.numVertices()*97/100 {
 			break // matching stalled; stop coarsening
 		}
-		cg, coarseOf := contract(cur, match, coarseN)
-		levels[len(levels)-1].coarseOf = coarseOf
-		levels = append(levels, level{g: cg})
-		cur = cg
+		coarse := a.level(depth).g
+		fine := a.level(depth - 1)
+		fine.coarseOf = grow(fine.coarseOf, cur.numVertices())
+		contract(cur, match, coarseN, coarse, fine.coarseOf, &a.cs)
+		depth++
+		cur = coarse
 	}
 	// Initial partition at the coarsest level.
-	coarsest := levels[len(levels)-1].g
-	side := greedyGrow(coarsest, target0, r, cfg.InitialTrials)
-	refineFM(coarsest, side, target0, cfg.ImbalanceTol, cfg.FMPasses)
-	// Uncoarsening with refinement.
-	for li := len(levels) - 2; li >= 0; li-- {
-		fine := levels[li]
-		fineSide := make([]uint8, fine.g.numVertices())
+	side := greedyGrow(cur, target0, r, cfg.InitialTrials)
+	refineFM(cur, side, target0, cfg.ImbalanceTol, cfg.FMPasses, &a.fm)
+	// Uncoarsening with refinement, projecting into alternate buffers.
+	for li := depth - 2; li >= 0; li-- {
+		fine := a.levels[li]
+		a.sides[li&1] = grow(a.sides[li&1], fine.g.numVertices())
+		fineSide := a.sides[li&1]
 		for v := range fineSide {
 			fineSide[v] = side[fine.coarseOf[v]]
 		}
-		refineFM(fine.g, fineSide, target0, cfg.ImbalanceTol, cfg.FMPasses)
+		refineFM(fine.g, fineSide, target0, cfg.ImbalanceTol, cfg.FMPasses, &a.fm)
 		side = fineSide
 	}
+	a.levels[0].g = nil // the input belongs to the caller
 	return side
 }
 
 // inducedWGraph extracts the side-s induced weighted subgraph, returning it
 // together with the original vertex ids of its vertices.
-func inducedWGraph(w *wgraph, verts []int32, side []uint8, s uint8) (*wgraph, []int32) {
+func inducedWGraph(w *wgraph, verts []int32, side []uint8, s uint8, a *arena) (*wgraph, []int32) {
 	n := w.numVertices()
-	newID := make([]int32, n)
-	for i := range newID {
-		newID[i] = -1
-	}
-	var subVerts []int32
-	cnt := int32(0)
-	for v := 0; v < n; v++ {
-		if side[v] == s {
-			newID[v] = cnt
-			cnt++
-			subVerts = append(subVerts, verts[v])
-		}
-	}
-	sub := &wgraph{
-		offsets: make([]int32, cnt+1),
-		vwgt:    make([]int32, cnt),
-	}
-	// Count arcs first.
-	var arcs int32
+	a.newID = grow(a.newID, n)
+	newID := a.newID
+	cnt, arcs := int32(0), 0
 	for v := 0; v < n; v++ {
 		if side[v] != s {
 			continue
 		}
+		newID[v] = cnt
+		cnt++
 		nbrs, _ := w.neighbors(int32(v))
 		for _, u := range nbrs {
 			if side[u] == s {
@@ -194,14 +185,20 @@ func inducedWGraph(w *wgraph, verts []int32, side []uint8, s uint8) (*wgraph, []
 			}
 		}
 	}
-	sub.adj = make([]int32, arcs)
-	sub.wadj = make([]int32, arcs)
+	sub := &wgraph{
+		offsets: make([]int32, cnt+1),
+		adj:     make([]int32, arcs),
+		wadj:    make([]int32, arcs),
+		vwgt:    make([]int32, cnt),
+	}
+	subVerts := make([]int32, cnt)
 	pos := int32(0)
 	for v := 0; v < n; v++ {
 		if side[v] != s {
 			continue
 		}
 		nv := newID[v]
+		subVerts[nv] = verts[v]
 		sub.offsets[nv] = pos
 		sub.vwgt[nv] = w.vwgt[v]
 		nbrs, wts := w.neighbors(int32(v))

@@ -1,6 +1,8 @@
 package metis
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -43,7 +45,7 @@ func TestWGraphFromGraph(t *testing.T) {
 func TestHeavyEdgeMatchingValid(t *testing.T) {
 	g := randomGraph(1, 100, 300)
 	w := fromGraph(g)
-	match, coarseN := heavyEdgeMatching(w, rng.New(2), 1000)
+	match, coarseN := heavyEdgeMatching(w, rng.New(2), 1000, &arena{})
 	if coarseN <= 0 || coarseN > 100 {
 		t.Fatalf("coarseN=%d", coarseN)
 	}
@@ -61,8 +63,9 @@ func TestHeavyEdgeMatchingValid(t *testing.T) {
 func TestContractPreservesWeight(t *testing.T) {
 	g := randomGraph(3, 80, 200)
 	w := fromGraph(g)
-	match, coarseN := heavyEdgeMatching(w, rng.New(4), 1000)
-	cg, coarseOf := contract(w, match, coarseN)
+	match, coarseN := heavyEdgeMatching(w, rng.New(4), 1000, &arena{})
+	cg, coarseOf := new(wgraph), make([]int32, w.numVertices())
+	contract(w, match, coarseN, cg, coarseOf, &contractScratch{})
 	if cg.numVertices() != coarseN {
 		t.Fatalf("coarse V=%d, want %d", cg.numVertices(), coarseN)
 	}
@@ -96,6 +99,145 @@ func TestContractPreservesWeight(t *testing.T) {
 	}
 }
 
+// contractReference is the map-and-sort contraction contract replaced: one
+// merge map and one sorted arc list per coarse vertex. It is the oracle the
+// slot-table and transpose contraction must match byte for byte.
+func contractReference(w *wgraph, match []int32, coarseN int) (*wgraph, []int32) {
+	n := w.numVertices()
+	coarseOf := make([]int32, n)
+	next := int32(0)
+	for v := int32(0); int(v) < n; v++ {
+		if match[v] == v || match[v] > v {
+			coarseOf[v] = next
+			if match[v] != v {
+				coarseOf[match[v]] = next
+			}
+			next++
+		}
+	}
+	cg := &wgraph{
+		offsets: make([]int32, coarseN+1),
+		vwgt:    make([]int32, coarseN),
+	}
+	for v := int32(0); int(v) < n; v++ {
+		cg.vwgt[coarseOf[v]] += w.vwgt[v]
+	}
+	type arc struct {
+		to int32
+		w  int32
+	}
+	arcs := make([][]arc, coarseN)
+	merge := make(map[int32]int32, 16)
+	members := make([][]int32, coarseN)
+	for v := int32(0); int(v) < n; v++ {
+		c := coarseOf[v]
+		members[c] = append(members[c], v)
+	}
+	for c := int32(0); int(c) < coarseN; c++ {
+		for k := range merge {
+			delete(merge, k)
+		}
+		for _, v := range members[c] {
+			nbrs, wts := w.neighbors(v)
+			for i, u := range nbrs {
+				cu := coarseOf[u]
+				if cu == c {
+					continue
+				}
+				merge[cu] += wts[i]
+			}
+		}
+		lst := make([]arc, 0, len(merge))
+		for to, wt := range merge {
+			lst = append(lst, arc{to, wt})
+		}
+		sort.Slice(lst, func(i, j int) bool { return lst[i].to < lst[j].to })
+		arcs[c] = lst
+	}
+	total := 0
+	for _, l := range arcs {
+		total += len(l)
+	}
+	cg.adj = make([]int32, total)
+	cg.wadj = make([]int32, total)
+	pos := int32(0)
+	for c := 0; c < coarseN; c++ {
+		cg.offsets[c] = pos
+		for _, a := range arcs[c] {
+			cg.adj[pos] = a.to
+			cg.wadj[pos] = a.w
+			pos++
+		}
+	}
+	cg.offsets[coarseN] = pos
+	return cg, coarseOf
+}
+
+// TestContractMatchesReference drives whole coarsening chains — so later
+// levels see weighted vertices and edges — on random graphs, through one
+// reused arena, and requires every level to equal the reference oracle
+// byte for byte. Each coarse graph must also be a valid symmetric CSR:
+// rows strictly ascending, no self-arcs, w(c,cu) = w(cu,c).
+func TestContractMatchesReference(t *testing.T) {
+	a := &arena{}
+	for seed := uint64(1); seed <= 40; seed++ {
+		r := rng.New(seed)
+		n := 2 + r.Intn(400)
+		w := fromGraph(randomGraph(seed, n, r.Intn(4*n)))
+		maxVWgt := int64(1 + r.Intn(n))
+		for depth := 1; w.numVertices() > 1; depth++ {
+			match, coarseN := heavyEdgeMatching(w, r, maxVWgt, a)
+			if coarseN == w.numVertices() {
+				break
+			}
+			want, wantOf := contractReference(w, match, coarseN)
+			got, coarseOf := a.level(depth).g, make([]int32, w.numVertices())
+			contract(w, match, coarseN, got, coarseOf, &a.cs)
+			for _, f := range []struct {
+				name      string
+				got, want []int32
+			}{
+				{"offsets", got.offsets, want.offsets},
+				{"adj", got.adj, want.adj},
+				{"wadj", got.wadj, want.wadj},
+				{"vwgt", got.vwgt, want.vwgt},
+				{"coarseOf", coarseOf, wantOf},
+			} {
+				if !slices.Equal(f.got, f.want) {
+					t.Fatalf("seed %d depth %d: %s differs from the reference:\n got %v\nwant %v",
+						seed, depth, f.name, f.got, f.want)
+				}
+			}
+			checkSymmetricCSR(t, got)
+			// Contract the oracle's copy onward so the arena's buffers
+			// are rewritten, not read, by the next level.
+			w = want
+		}
+	}
+}
+
+// checkSymmetricCSR fails unless every row of w is strictly ascending with
+// no self-arc and every arc's reverse carries the same weight.
+func checkSymmetricCSR(t *testing.T, w *wgraph) {
+	t.Helper()
+	for c := int32(0); int(c) < w.numVertices(); c++ {
+		nbrs, wts := w.neighbors(c)
+		for i, cu := range nbrs {
+			if cu == c {
+				t.Fatalf("self-arc at %d", c)
+			}
+			if i > 0 && nbrs[i-1] >= cu {
+				t.Fatalf("row %d not strictly ascending: %v", c, nbrs)
+			}
+			back, backW := w.neighbors(cu)
+			j, ok := slices.BinarySearch(back, c)
+			if !ok || backW[j] != wts[i] {
+				t.Fatalf("arc %d->%d (w=%d) has no equal-weight reverse", c, cu, wts[i])
+			}
+		}
+	}
+}
+
 func TestGreedyGrowBalance(t *testing.T) {
 	g := randomGraph(5, 200, 600)
 	w := fromGraph(g)
@@ -118,7 +260,7 @@ func TestRefineFMImprovesOrKeepsCut(t *testing.T) {
 		side[i] = uint8(i % 2)
 	}
 	before := cutWeight(w, side)
-	refineFM(w, side, 75, 1.05, 8)
+	refineFM(w, side, 75, 1.05, 8, &fmScratch{})
 	after := cutWeight(w, side)
 	if after > before {
 		t.Fatalf("FM worsened the cut: %d -> %d", before, after)

@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	mathbits "math/bits"
+	"slices"
 	"sort"
 
 	"github.com/graphpart/graphpart/internal/graph"
@@ -201,8 +202,7 @@ func (s *State) IsBoundary(e graph.EdgeID) bool { return s.bpos[e] != -1 }
 func (s *State) AppendBoundary(buf []graph.EdgeID) []graph.EdgeID {
 	start := len(buf)
 	buf = append(buf, s.boundary...)
-	out := buf[start:]
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(buf[start:])
 	return buf
 }
 
