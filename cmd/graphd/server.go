@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -264,9 +265,18 @@ type vertexValue struct {
 // maxRunSupersteps caps requested superstep budgets.
 const maxRunSupersteps = 10000
 
+// maxRunBodyBytes caps the /run request body; a real request is a few
+// hundred bytes.
+const maxRunBodyBytes = 1 << 20
+
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req runRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRunBodyBytes)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -236,6 +237,24 @@ func TestRunEndpoint(t *testing.T) {
 				t.Fatalf("mem run reported %v control bytes", cb)
 			}
 		})
+	}
+}
+
+// TestRunRejectsOversizedBody posts a 2 MiB /run body: the daemon must
+// answer 413 without decoding it and keep serving afterwards.
+func TestRunRejectsOversizedBody(t *testing.T) {
+	_, ts := newTestServer(t)
+	body := `{"program":"` + strings.Repeat("a", 2<<20) + `"}`
+	resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /run: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized /run: status %d, want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
+	}
+	if got := getJSON(t, ts.URL+"/healthz", http.StatusOK); got["status"] != "ok" {
+		t.Fatalf("healthz after oversized body = %v", got)
 	}
 }
 

@@ -197,35 +197,6 @@ func TestPublicAPIRefine(t *testing.T) {
 	}
 }
 
-func TestPublicAPICluster(t *testing.T) {
-	g := buildTestGraph(t)
-	a, err := graphpart.NewTLP(graphpart.TLPOptions{Seed: 4}).Partition(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	values, stats, err := graphpart.RunDistributedPageRank(g, a, 0.85, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(values) != g.NumVertices() || stats.Supersteps == 0 {
-		t.Fatalf("bad cluster run: %d values, %d supersteps", len(values), stats.Supersteps)
-	}
-	// Raw BSP facade.
-	bstats, err := graphpart.RunBSP(graphpart.BSPConfig{Nodes: 2, MaxSupersteps: 3},
-		func(node, step int, inbox []graphpart.BSPMessage, send func(int, []byte)) bool {
-			if step == 0 {
-				send(1-node, []byte{byte(node)})
-			}
-			return step > 0
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bstats.NetworkMessages != 2 {
-		t.Fatalf("bsp messages %d, want 2", bstats.NetworkMessages)
-	}
-}
-
 func TestPublicAPISlidingWindowAndKL(t *testing.T) {
 	g := buildTestGraph(t)
 	for _, pt := range []graphpart.Partitioner{

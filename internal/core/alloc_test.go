@@ -8,15 +8,14 @@ import (
 )
 
 // TestHotPathAllocs_Stage1Kernels is the cross-check named by the
-// //graphpart:hotpath annotations on killEdge, markAlive, overlapAlive and
-// sampledOverlap: one scoring round — mark a neighbourhood, run the scan,
-// bitset and word kernels plus the capped sampling path, retire an edge —
-// allocates nothing. All kernel state (stamps, bitsets, compacted rows) is
-// preallocated by newRunState.
+// //graphpart:hotpath annotations on killEdge, markAlive and overlapAlive:
+// one scoring round — mark a neighbourhood, run the scan, bitset and word
+// kernels, retire an edge — allocates nothing. All kernel state (stamps,
+// bitsets, compacted rows) is preallocated by newRunState.
 func TestHotPathAllocs_Stage1Kernels(t *testing.T) {
 	g := hubbyGraph(17, 2000)
 	a := partition.MustNew(g.NumEdges(), 4)
-	st := newRunState(g, a, Options{Stage1NeighborCap: 64})
+	st := newRunState(g, a, Options{})
 	hub0, hub1 := graph.Vertex(0), graph.Vertex(1)
 	bulk0, bulk1 := graph.Vertex(20), graph.Vertex(21)
 	next := 0
@@ -26,7 +25,6 @@ func TestHotPathAllocs_Stage1Kernels(t *testing.T) {
 		_, _ = st.overlapAlive(bulk0, bulk1, mark) // stamp scan
 		_, _ = st.overlapAlive(bulk0, hub0, mark)  // hub bitset
 		_, _ = st.overlapAlive(hub0, hub1, 0)      // word AND + popcount
-		_ = st.sampledOverlap(bulk0, mark)         // capped stride sampling
 		if next < total {
 			st.killEdge(graph.EdgeID(next)) // a fresh edge each run
 			next++

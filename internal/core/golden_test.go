@@ -63,9 +63,6 @@ var goldenCases = []goldenCase{
 	{"G1s", "exact", 4, 0x6c5c8d341bd71d46},
 	{"G2s", "exact", 4, 0xf7317563daa320d5},
 	{"G3s", "exact", 4, 0xc9a36433b184e585},
-	{"G1s", "capped", 4, 0x3b2c76a6078203d6},
-	{"G2s", "capped", 4, 0x4d1d62ad85853eb5},
-	{"G3s", "capped", 4, 0x9fb1260255e4fd95},
 	{"G1s", "maxdeg", 4, 0xd47940cc71d46f06},
 	{"G2s", "maxdeg", 4, 0x1660841706ca1a25},
 	{"G3s", "maxdeg", 4, 0xaa9a99247533fd85},
@@ -95,8 +92,6 @@ func runGolden(t *testing.T, g *graph.Graph, c goldenCase, workers int) *partiti
 		pt = core.MustNewTLPR(0.5, core.Options{Seed: 42, Workers: workers})
 	case "exact":
 		pt = core.MustNew(core.Options{Seed: 42, Stage1Exact: true, Workers: workers})
-	case "capped":
-		pt = core.MustNew(core.Options{Seed: 42, Stage1NeighborCap: 8, Stage1MemberCap: 4, Workers: workers})
 	case "maxdeg":
 		pt = core.MustNew(core.Options{Seed: 42, Stage1Policy: core.PolicyMaxDegree, Workers: workers})
 	default:

@@ -27,10 +27,6 @@ import (
 //     log deg(long)).
 //   - scan:   the default — scan the candidate's compacted alive row testing
 //     epoch stamps left by markAlive. O(row).
-//   - sampled: the legacy Stage1NeighborCap stride-sampling path over full
-//     CSR rows (see sampledOverlap); used for every intersection when the
-//     cap is configured, preserving the capped mode's historical output
-//     bit for bit.
 type kernelKind uint8
 
 const (
@@ -38,7 +34,6 @@ const (
 	kernelBitset
 	kernelWord
 	kernelGallop
-	kernelSampled
 	numKernels
 )
 
@@ -192,40 +187,6 @@ func (st *runState) gallopRows(a, b graph.Vertex) int {
 		if i < len(bn) && bn[i] == x && !st.a.IsAssigned(be[i]) {
 			cnt++
 		}
-	}
-	return cnt
-}
-
-// sampledOverlap is the one home of the Stage1NeighborCap stride-sampling
-// arithmetic, preserved bit for bit from the original countOverlap: x's full
-// CSR row is scanned with stride ceil(len/cap) when len exceeds the cap
-// (len == cap scans everything with stride 1; len == cap+1 flips to stride
-// 2), assigned edges at sampled indices are skipped, marked alive
-// neighbours are counted, and the count is scaled back up by the stride.
-// The scaled count intentionally over- or under-shoots the true overlap —
-// it is a documented fidelity/speed trade, which is why capped runs use
-// this helper for every intersection instead of the exact kernels.
-//
-//graphpart:hotpath test=TestHotPathAllocs_Stage1Kernels
-func (st *runState) sampledOverlap(x graph.Vertex, mark int32) int {
-	g := st.g
-	xn := g.Neighbors(x)
-	xe := g.IncidentEdges(x)
-	stride := 1
-	if capN := st.opts.Stage1NeighborCap; capN > 0 && len(xn) > capN {
-		stride = (len(xn) + capN - 1) / capN
-	}
-	cnt := 0
-	for idx := 0; idx < len(xn); idx += stride {
-		if st.a.IsAssigned(xe[idx]) {
-			continue
-		}
-		if st.markStamp[xn[idx]] == mark {
-			cnt++
-		}
-	}
-	if stride > 1 {
-		cnt *= stride
 	}
 	return cnt
 }

@@ -150,9 +150,7 @@ func TestOverlapKernelsDifferential(t *testing.T) {
 
 // TestStage1KernelEngagement runs full partitionings and checks the kernel
 // mix reported in Stats: a default run on a hub-heavy graph must exercise
-// the scan, bitset and word kernels (and no sampled evaluations), while a
-// Stage1NeighborCap run must route every intersection through the sampled
-// path and none through the exact kernels.
+// the scan, bitset and word kernels (and no sampled evaluations).
 func TestStage1KernelEngagement(t *testing.T) {
 	g := hubbyGraph(3, 600)
 	_, stats, err := MustNew(Options{Seed: 42}).PartitionStats(g, 4)
@@ -165,65 +163,6 @@ func TestStage1KernelEngagement(t *testing.T) {
 	}
 	if k.Sampled != 0 {
 		t.Errorf("default run reported %d sampled evaluations, want 0", k.Sampled)
-	}
-
-	_, stats, err = MustNew(Options{Seed: 42, Stage1NeighborCap: 8}).PartitionStats(g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k = stats.Stage1Kernels
-	if k.Sampled == 0 {
-		t.Errorf("capped run reported no sampled evaluations: %+v", k)
-	}
-	if k.Scan != 0 || k.Bitset != 0 || k.Word != 0 || k.Gallop != 0 {
-		t.Errorf("capped run leaked exact kernel evaluations: %+v", k)
-	}
-}
-
-// TestSampledOverlapStride pins the Stage1NeighborCap stride arithmetic at
-// the boundary the cap documents: a row of exactly cap neighbours scans
-// everything with stride 1, one more neighbour flips to stride 2 and the
-// count scales by the stride (the documented over/undershoot).
-func TestSampledOverlapStride(t *testing.T) {
-	const capN = 8
-	star := func(deg int) (*runState, int32) {
-		b := graph.NewBuilder(deg + 1)
-		for v := 1; v <= deg; v++ {
-			_ = b.AddEdge(0, graph.Vertex(v))
-		}
-		g := b.Build()
-		a, err := partition.New(g.NumEdges(), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := newRunState(g, a, Options{Seed: 1, Stage1NeighborCap: capN})
-		mark := st.nextMark()
-		for v := 1; v <= deg; v++ {
-			st.markStamp[v] = mark
-		}
-		return st, mark
-	}
-
-	// len == cap: stride 1, exact count.
-	st, mark := star(capN)
-	if got := st.sampledOverlap(0, mark); got != capN {
-		t.Errorf("len==cap: sampledOverlap = %d, want %d", got, capN)
-	}
-
-	// len == cap+1: stride ceil(9/8) = 2 samples indices 0,2,4,6,8 and
-	// scales the 5 hits back up to 10 — the pinned overshoot.
-	st, mark = star(capN + 1)
-	if got := st.sampledOverlap(0, mark); got != 10 {
-		t.Errorf("len==cap+1: sampledOverlap = %d, want 10", got)
-	}
-
-	// Assigned edges at sampled indices are skipped before scaling: killing
-	// the edge at CSR index 0 drops one sampled hit, so the scaled count
-	// loses a whole stride.
-	eid := st.g.IncidentEdges(0)[0]
-	st.a.Assign(eid, 0)
-	if got := st.sampledOverlap(0, mark); got != 8 {
-		t.Errorf("len==cap+1 with index 0 dead: sampledOverlap = %d, want 8", got)
 	}
 }
 

@@ -70,19 +70,6 @@ type Options struct {
 	// and small graphs.
 	Stage1Exact bool
 
-	// Stage1MemberCap bounds how many partition-side neighbours j are
-	// examined per mu_s1 evaluation (largest-overlap candidates are found
-	// early in CSR order; the cap trades fidelity for speed on hubs).
-	// Zero means unlimited.
-	Stage1MemberCap int
-
-	// Stage1NeighborCap bounds how many of j's neighbours are scanned per
-	// common-neighbour count, sampling evenly when j's alive degree
-	// exceeds the cap (the count is scaled back up). Zero means unlimited.
-	// Setting the cap routes every stage-I intersection through the legacy
-	// stride-sampling path (sampledOverlap) instead of the exact kernels.
-	Stage1NeighborCap int
-
 	// Workers bounds the goroutines of the stage-I parallel scoring
 	// fan-out. Zero resolves through GRAPHPART_WORKERS and then GOMAXPROCS
 	// (internal/parallel). The partitioning is bit-identical for every
@@ -101,9 +88,6 @@ func (o Options) capacitySlack() float64 {
 func (o Options) validate() error {
 	if o.CapacitySlack != 0 && o.CapacitySlack < 1.0 {
 		return fmt.Errorf("core: capacity slack %v < 1 cannot cover the graph", o.CapacitySlack)
-	}
-	if o.Stage1MemberCap < 0 || o.Stage1NeighborCap < 0 {
-		return fmt.Errorf("core: negative stage-I caps")
 	}
 	if o.Workers < 0 {
 		return fmt.Errorf("core: negative worker count %d", o.Workers)
@@ -149,8 +133,7 @@ type Stats struct {
 }
 
 // KernelCounts tallies stage-I intersection evaluations per kernel. Every
-// kernel computes the same exact overlap except Sampled, the documented
-// Stage1NeighborCap stride approximation.
+// kernel computes the same exact overlap.
 type KernelCounts struct {
 	// Scan counts epoch-stamp scans over compacted alive rows.
 	Scan int64
@@ -161,7 +144,7 @@ type KernelCounts struct {
 	Word int64
 	// Gallop counts short-row-into-sorted-CSR binary-search intersections.
 	Gallop int64
-	// Sampled counts legacy Stage1NeighborCap stride-sampled evaluations.
+	// Sampled is always 0; retained only for existing readers.
 	Sampled int64
 }
 

@@ -106,8 +106,6 @@ func kernelName(k kernelKind) string {
 		return "word"
 	case kernelGallop:
 		return "gallop"
-	case kernelSampled:
-		return "sampled"
 	}
 	return "unknown"
 }

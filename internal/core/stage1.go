@@ -189,10 +189,6 @@ func (st *runState) updateStage1Scores(j graph.Vertex) {
 	if dj <= 0 {
 		return
 	}
-	if st.opts.Stage1NeighborCap > 0 {
-		st.updateStage1ScoresSampled(j)
-		return
-	}
 	w := st.kernelWatch()
 	mark := st.markAlive(j)
 
@@ -263,35 +259,6 @@ func (st *runState) updateStage1Scores(j graph.Vertex) {
 	st.tFold += w.lap()
 }
 
-// updateStage1ScoresSampled is the legacy scoring loop kept verbatim for
-// Stage1NeighborCap configurations: full CSR rows, per-edge assignment
-// checks, and stride-sampled counts via sampledOverlap, so capped runs
-// reproduce their historical output exactly.
-func (st *runState) updateStage1ScoresSampled(j graph.Vertex) {
-	g := st.g
-	mark := st.nextMark()
-	jn := g.Neighbors(j)
-	je := g.IncidentEdges(j)
-	for i, u := range jn {
-		if !st.a.IsAssigned(je[i]) {
-			st.markStamp[u] = mark
-		}
-	}
-	djf := float64(st.aliveDeg[j])
-	for i, v := range jn {
-		if st.a.IsAssigned(je[i]) || st.isMember(v) {
-			continue
-		}
-		overlap := st.sampledOverlap(v, mark)
-		st.kernelCounts[kernelSampled].Add(1)
-		if score := float64(overlap) / djf; score > st.mu1Score[v] {
-			st.mu1Score[v] = score
-			st.mu1Heap.push(scoreEntry{score: score, deg: st.aliveDeg[v], v: v})
-			st.maybeCompactMu1Heap()
-		}
-	}
-}
-
 // maybeCompactMu1Heap drops stale lazy-heap entries once they outnumber the
 // plausible frontier by 2x, bounding heap growth at O(frontier): every live
 // entry's vertex is on frontierList, so after compaction len(heap) <=
@@ -317,51 +284,24 @@ func (st *runState) maybeCompactMu1Heap() {
 
 // computeMu1 evaluates Eq. 7 for candidate v from scratch (exact mode):
 // the maximum over alive member neighbours j of overlap(v,j)/|N(j)|. The
-// member iteration stays on the full CSR row so the Stage1MemberCap
-// examination order is untouched; only the inner intersections dispatch to
-// the alive-row kernels (or to sampledOverlap when Stage1NeighborCap is
-// configured, preserving the capped mode's historical counts).
+// member iteration walks the full CSR row; the inner intersections
+// dispatch to the alive-row kernels.
 func (st *runState) computeMu1(v graph.Vertex) float64 {
 	g := st.g
-	legacy := st.opts.Stage1NeighborCap > 0
-	var mark int32
-	if legacy {
-		mark = st.nextMark()
-		nbrs := g.Neighbors(v)
-		eids := g.IncidentEdges(v)
-		for i, u := range nbrs {
-			if !st.a.IsAssigned(eids[i]) {
-				st.markStamp[u] = mark
-			}
-		}
-	} else {
-		mark = st.markAlive(v)
-	}
+	mark := st.markAlive(v)
 	best := 0.0
-	examined := 0
 	nbrs := g.Neighbors(v)
 	eids := g.IncidentEdges(v)
 	for i, j := range nbrs {
 		if st.a.IsAssigned(eids[i]) || !st.isMember(j) {
 			continue
 		}
-		if capM := st.opts.Stage1MemberCap; capM > 0 && examined >= capM {
-			break
-		}
-		examined++
 		dj := st.aliveDeg[j]
 		if dj <= 0 {
 			continue
 		}
-		var common int
-		if legacy {
-			common = st.sampledOverlap(j, mark)
-			st.kernelCounts[kernelSampled].Add(1)
-		} else {
-			var kind kernelKind
-			common, kind = st.overlapAlive(v, j, mark)
-			st.kernelCounts[kind].Add(1)
-		}
+		common, kind := st.overlapAlive(v, j, mark)
+		st.kernelCounts[kind].Add(1)
 		if score := float64(common) / float64(dj); score > best {
 			best = score
 		}

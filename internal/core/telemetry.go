@@ -19,11 +19,10 @@ var (
 
 	// Per-kernel intersection counts (see kernelKind in kernels.go).
 	mKernelCounts = [numKernels]*obs.Counter{
-		kernelScan:    obs.Default.Counter("tlp.s1.kernel_scan"),
-		kernelBitset:  obs.Default.Counter("tlp.s1.kernel_bitset"),
-		kernelWord:    obs.Default.Counter("tlp.s1.kernel_word"),
-		kernelGallop:  obs.Default.Counter("tlp.s1.kernel_gallop"),
-		kernelSampled: obs.Default.Counter("tlp.s1.kernel_sampled"),
+		kernelScan:   obs.Default.Counter("tlp.s1.kernel_scan"),
+		kernelBitset: obs.Default.Counter("tlp.s1.kernel_bitset"),
+		kernelWord:   obs.Default.Counter("tlp.s1.kernel_word"),
+		kernelGallop: obs.Default.Counter("tlp.s1.kernel_gallop"),
 	}
 )
 
@@ -40,7 +39,6 @@ func recordRunMetrics(stats *Stats) {
 	mKernelCounts[kernelBitset].Add(stats.Stage1Kernels.Bitset)
 	mKernelCounts[kernelWord].Add(stats.Stage1Kernels.Word)
 	mKernelCounts[kernelGallop].Add(stats.Stage1Kernels.Gallop)
-	mKernelCounts[kernelSampled].Add(stats.Stage1Kernels.Sampled)
 }
 
 // kernelStopwatch accumulates kernel-phase wall clock through the obs clock

@@ -238,11 +238,10 @@ func runLocal(g *graph.Graph, p int, opts Options, isStage1 stagePolicy) (*parti
 		ssp.EndWith(obs.Int("swept", stats.SweptEdges))
 	}
 	stats.Stage1Kernels = KernelCounts{
-		Scan:    st.kernelCounts[kernelScan].Load(),
-		Bitset:  st.kernelCounts[kernelBitset].Load(),
-		Word:    st.kernelCounts[kernelWord].Load(),
-		Gallop:  st.kernelCounts[kernelGallop].Load(),
-		Sampled: st.kernelCounts[kernelSampled].Load(),
+		Scan:   st.kernelCounts[kernelScan].Load(),
+		Bitset: st.kernelCounts[kernelBitset].Load(),
+		Word:   st.kernelCounts[kernelWord].Load(),
+		Gallop: st.kernelCounts[kernelGallop].Load(),
 	}
 	recordRunMetrics(&stats)
 	sp.EndWith(obs.Int("rounds", stats.Rounds),

@@ -135,9 +135,6 @@ func TestTLPRejectsBadInput(t *testing.T) {
 	if _, err := New(Options{CapacitySlack: 0.5}); err == nil {
 		t.Fatal("slack < 1 accepted")
 	}
-	if _, err := New(Options{Stage1MemberCap: -1}); err == nil {
-		t.Fatal("negative cap accepted")
-	}
 }
 
 func TestTLPDisconnectedReseeds(t *testing.T) {
@@ -443,16 +440,6 @@ func TestStage1ExactMatchesQuality(t *testing.T) {
 	if math.Abs(rfCached-rfExact) > 0.5*rfExact {
 		t.Fatalf("cached RF %.3f wildly differs from exact RF %.3f", rfCached, rfExact)
 	}
-}
-
-func TestStage1CapsStillValid(t *testing.T) {
-	g := gen.ChungLu(gen.ChungLuConfig{Vertices: 800, TargetEdges: 4000, Exponent: 2.0}, rng.New(51))
-	tlp := MustNew(Options{Seed: 53, Stage1MemberCap: 4, Stage1NeighborCap: 8})
-	a, err := tlp.Partition(g, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	completeAndBalanced(t, g, a, 0)
 }
 
 // TestTLPBeatsRandomRF: the headline claim in miniature — TLP's RF should be

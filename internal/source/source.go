@@ -66,8 +66,8 @@ const (
 )
 
 // EdgeOrder yields the graph's EdgeIDs in the given order. This is the one
-// canonical permutation: streaming.EdgeStream delegates here and
-// GraphSource iterates it, so the two paths cannot drift apart.
+// canonical permutation: GraphSource iterates it, so every consumer of a
+// graph-backed stream sees the same sequence.
 func EdgeOrder(g *graph.Graph, ord Order, seed uint64) []graph.EdgeID {
 	m := g.NumEdges()
 	ids := make([]graph.EdgeID, m)

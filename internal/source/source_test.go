@@ -48,8 +48,18 @@ func TestGraphSourceMatchesEdgeOrder(t *testing.T) {
 		want := EdgeOrder(g, ord, 99)
 		src := FromGraph(g, ord, 99)
 		got := drain(t, src)
-		if len(got) != len(want) {
-			t.Fatalf("order %d: %d edges streamed, want %d", ord, len(got), len(want))
+		if len(got) != len(want) || len(want) != g.NumEdges() {
+			t.Fatalf("order %d: %d edges streamed, %d ordered, want %d", ord, len(got), len(want), g.NumEdges())
+		}
+		seen := make([]bool, len(want))
+		for i, id := range want {
+			if seen[id] {
+				t.Fatalf("order %d: duplicate edge %d", ord, id)
+			}
+			seen[id] = true
+			if ord == OrderNatural && int(id) != i {
+				t.Fatalf("natural order not identity: position %d holds edge %d", i, id)
+			}
 		}
 		for i, e := range got {
 			if e.ID != want[i] {

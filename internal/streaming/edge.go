@@ -38,14 +38,6 @@ const (
 	OrderBFS = source.OrderBFS
 )
 
-// EdgeStream yields the graph's EdgeIDs in the given order; it delegates to
-// source.EdgeOrder, the one canonical permutation, so the slice path and
-// the EdgeSource path cannot drift apart. Retained for the sliding-window
-// partitioner and tests.
-func EdgeStream(g *graph.Graph, ord Order, seed uint64) []graph.EdgeID {
-	return source.EdgeOrder(g, ord, seed)
-}
-
 // replicaSets tracks, per vertex, the set of partitions holding a replica.
 // Partition counts in this repository are small (p <= 64 covers the paper's
 // 10-20), so a bitset per vertex suffices; larger p falls back to maps.

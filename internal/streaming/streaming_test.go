@@ -246,31 +246,6 @@ func TestFENNELVertexPartition(t *testing.T) {
 	}
 }
 
-func TestEdgeStreamOrders(t *testing.T) {
-	g := randomGraph(16, 50, 150)
-	m := g.NumEdges()
-	for _, ord := range []Order{OrderShuffled, OrderNatural, OrderBFS} {
-		ids := EdgeStream(g, ord, 17)
-		if len(ids) != m {
-			t.Fatalf("order %d: %d ids, want %d", ord, len(ids), m)
-		}
-		seen := make([]bool, m)
-		for _, id := range ids {
-			if seen[id] {
-				t.Fatalf("order %d: duplicate edge %d", ord, id)
-			}
-			seen[id] = true
-		}
-	}
-	// Natural order is the identity.
-	ids := EdgeStream(g, OrderNatural, 17)
-	for i, id := range ids {
-		if int(id) != i {
-			t.Fatal("natural order not identity")
-		}
-	}
-}
-
 func TestReplicaSetsSmallAndLarge(t *testing.T) {
 	for _, p := range []int{4, 100} {
 		rs := newReplicaSets(10, p)
