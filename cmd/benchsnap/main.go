@@ -118,11 +118,11 @@ func run(args []string, logw io.Writer) error {
 		obsOut  = fs.String("obs-out", "", "also write the telemetry phase summary to this JSON file (e.g. BENCH_obs.json)")
 		pprof   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
 
-		stage1Out      = fs.String("stage1-out", "", "write the stage-I kernel worker sweep to this JSON file (e.g. BENCH_stage1.json)")
-		stage1Only     = fs.Bool("stage1-only", false, "run only the stage-I sweep (skip grid, harness and obs probes); requires -stage1-out")
-		stage1Dataset  = fs.String("stage1-dataset", "G1", "dataset notation for the stage-I sweep")
-		stage1P        = fs.Int("stage1-p", 10, "partition count for the stage-I sweep")
-		stage1Baseline = fs.String("stage1-baseline", "BENCH_obs.json", "committed obs snapshot to compare the stage-I sweep against")
+		stage1Out      = fs.String("stage1-out", "", "write the stage-I kernel probe to this JSON file (e.g. BENCH_stage1.json)")
+		stage1Only     = fs.Bool("stage1-only", false, "run only the stage-I probe (skip grid, harness and obs probes); requires -stage1-out")
+		stage1Dataset  = fs.String("stage1-dataset", "G1", "dataset notation for the stage-I probe")
+		stage1P        = fs.Int("stage1-p", 10, "partition count for the stage-I probe")
+		stage1Baseline = fs.String("stage1-baseline", "BENCH_obs.json", "committed obs snapshot to compare the stage-I probe against")
 
 		netFlag    = fs.Bool("net", false, "run only the transport probe (PageRank over Mem vs TCP) and write -net-out")
 		netOut     = fs.String("net-out", "BENCH_net.json", "output JSON path for the -net probe")
@@ -150,7 +150,7 @@ func run(args []string, logw io.Writer) error {
 		return fmt.Errorf("-stage1-only requires -stage1-out")
 	}
 	if *stage1Only {
-		return runStage1Sweep(*stage1Dataset, *seed, *stage1P, *stage1Out, *stage1Baseline, logw)
+		return runStage1Probe(*stage1Dataset, *seed, *stage1P, *stage1Out, *stage1Baseline, logw)
 	}
 	if *netFlag {
 		ps, err := parseNetPs(*netPs)
@@ -314,7 +314,7 @@ func run(args []string, logw io.Writer) error {
 	}
 
 	if *stage1Out != "" {
-		if err := runStage1Sweep(*stage1Dataset, *seed, *stage1P, *stage1Out, *stage1Baseline, logw); err != nil {
+		if err := runStage1Probe(*stage1Dataset, *seed, *stage1P, *stage1Out, *stage1Baseline, logw); err != nil {
 			return err
 		}
 	}
@@ -326,9 +326,13 @@ func run(args []string, logw io.Writer) error {
 	return nil
 }
 
-// runStage1Sweep resolves the probe dataset, runs the traced worker sweep
-// {1,2,4,8} and writes the Stage1Snapshot.
-func runStage1Sweep(dataset string, seed uint64, p int, out, baseline string, logw io.Writer) error {
+// stage1Repeats is how many traced runs the stage-I probe makes; the
+// snapshot keeps the best stage-I time.
+const stage1Repeats = 3
+
+// runStage1Probe resolves the probe dataset, runs the traced probe
+// stage1Repeats times and writes the Stage1Snapshot.
+func runStage1Probe(dataset string, seed uint64, p int, out, baseline string, logw io.Writer) error {
 	var probe *gen.Dataset
 	for _, d := range append(gen.Datasets(), gen.SmallDatasets()...) {
 		if d.Notation == dataset {
@@ -340,20 +344,20 @@ func runStage1Sweep(dataset string, seed uint64, p int, out, baseline string, lo
 	if probe == nil {
 		return fmt.Errorf("unknown stage1 dataset %q", dataset)
 	}
-	fmt.Fprintf(logw, "stage1 sweep: %s p=%d workers 1,2,4,8...\n", dataset, p)
-	sweep, err := collectStage1(probe.Generate(seed), dataset, seed, p, []int{1, 2, 4, 8}, baseline)
+	fmt.Fprintf(logw, "stage1 probe: %s p=%d, %d runs...\n", dataset, p, stage1Repeats)
+	snap, err := collectStage1(probe.Generate(seed), dataset, seed, p, stage1Repeats, baseline)
 	if err != nil {
 		return err
 	}
-	for _, r := range sweep.Runs {
-		fmt.Fprintf(logw, "  workers=%d: stage1 %.4fs (compact %.4fs, intersect %.4fs, fold %.4fs) hash %s\n",
-			r.Workers, r.Stage1Seconds, r.CompactSeconds, r.IntersectSeconds, r.FoldSeconds, r.PartitionHash)
+	for _, r := range snap.Runs {
+		fmt.Fprintf(logw, "  stage1 %.4fs (compact %.4fs, intersect %.4fs) hash %s\n",
+			r.Stage1Seconds, r.CompactSeconds, r.IntersectSeconds, r.PartitionHash)
 	}
-	if sweep.BaselineStage1Seconds > 0 {
-		fmt.Fprintf(logw, "  best %.4fs vs baseline %.4fs: %.2fx (worker-invariant: %v)\n",
-			sweep.BestStage1Seconds, sweep.BaselineStage1Seconds, sweep.SpeedupVsBaseline, sweep.WorkerInvariant)
+	if snap.BaselineStage1Seconds > 0 {
+		fmt.Fprintf(logw, "  best %.4fs vs baseline %.4fs: %.2fx\n",
+			snap.BestStage1Seconds, snap.BaselineStage1Seconds, snap.SpeedupVsBaseline)
 	}
-	if err := writeJSON(out, sweep); err != nil {
+	if err := writeJSON(out, snap); err != nil {
 		return err
 	}
 	fmt.Fprintf(logw, "wrote %s\n", out)

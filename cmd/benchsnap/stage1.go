@@ -24,26 +24,24 @@ type Stage1Kernels struct {
 	Sampled int64 `json:"sampled"`
 }
 
-// Stage1Run is one traced TLP partitioning of the probe at a fixed worker
-// count: total wall clock, the stage-segment span totals, the per-kernel
-// phase segments (tlp.s1.*) and the kernel dispatch mix, plus the FNV-1a
-// hash of the resulting assignment — equal hashes across the sweep prove
-// the parallel scoring fan-out is invisible in the output.
+// Stage1Run is one traced TLP partitioning of the probe: total wall clock,
+// the stage-segment span totals, the per-kernel phase segments (tlp.s1.*)
+// and the kernel dispatch mix, plus the FNV-1a hash of the resulting
+// assignment — equal hashes across the repeats prove the run is
+// deterministic.
 type Stage1Run struct {
-	Workers          int           `json:"workers"`
 	Seconds          float64       `json:"seconds"`
 	Stage1Seconds    float64       `json:"tlp_stage1_seconds"`
 	Stage2Seconds    float64       `json:"tlp_stage2_seconds"`
 	CompactSeconds   float64       `json:"s1_compact_seconds"`
 	IntersectSeconds float64       `json:"s1_intersect_seconds"`
-	FoldSeconds      float64       `json:"s1_fold_seconds"`
 	Kernels          Stage1Kernels `json:"kernels"`
 	PartitionHash    string        `json:"partition_hash"`
 }
 
-// Stage1Snapshot is the BENCH_stage1.json document: the worker sweep over
-// the probe cell plus the comparison against the committed pre-kernel
-// baseline (BENCH_obs.json's tlp_stage1_seconds for the same cell).
+// Stage1Snapshot is the BENCH_stage1.json document: repeated runs of the
+// probe cell plus the comparison against the committed pre-kernel baseline
+// (BENCH_obs.json's tlp_stage1_seconds for the same cell).
 type Stage1Snapshot struct {
 	Dataset               string      `json:"dataset"`
 	P                     int         `json:"p"`
@@ -56,7 +54,6 @@ type Stage1Snapshot struct {
 	BaselineStage1Seconds float64     `json:"baseline_stage1_seconds,omitempty"`
 	BestStage1Seconds     float64     `json:"best_stage1_seconds"`
 	SpeedupVsBaseline     float64     `json:"speedup_vs_baseline,omitempty"`
-	WorkerInvariant       bool        `json:"worker_invariant"`
 	Runs                  []Stage1Run `json:"runs"`
 }
 
@@ -80,9 +77,10 @@ func stage1Hash(a *partition.Assignment) uint64 {
 	return h.Sum64()
 }
 
-// collectStage1 runs the traced worker sweep over one (dataset, p) cell and
-// compares the best stage-I time against the committed baseline file.
-func collectStage1(g *graph.Graph, dataset string, seed uint64, p int, workers []int, baselineFile string) (*Stage1Snapshot, error) {
+// collectStage1 runs the traced probe repeats times over one (dataset, p)
+// cell and compares the best stage-I time against the committed baseline
+// file.
+func collectStage1(g *graph.Graph, dataset string, seed uint64, p, repeats int, baselineFile string) (*Stage1Snapshot, error) {
 	snap := &Stage1Snapshot{
 		Dataset:     dataset,
 		P:           p,
@@ -98,20 +96,14 @@ func collectStage1(g *graph.Graph, dataset string, seed uint64, p int, workers [
 			snap.BaselineStage1Seconds = base
 		}
 	}
-	for _, w := range workers {
-		run, err := traceStage1Run(g, dataset, seed, p, w)
+	for i := 0; i < repeats; i++ {
+		run, err := traceStage1Run(g, dataset, seed, p)
 		if err != nil {
 			return nil, err
 		}
 		snap.Runs = append(snap.Runs, run)
 		if snap.BestStage1Seconds == 0 || run.Stage1Seconds < snap.BestStage1Seconds {
 			snap.BestStage1Seconds = run.Stage1Seconds
-		}
-	}
-	snap.WorkerInvariant = true
-	for _, r := range snap.Runs[1:] {
-		if r.PartitionHash != snap.Runs[0].PartitionHash {
-			snap.WorkerInvariant = false
 		}
 	}
 	if snap.BaselineStage1Seconds > 0 && snap.BestStage1Seconds > 0 {
@@ -122,7 +114,7 @@ func collectStage1(g *graph.Graph, dataset string, seed uint64, p int, workers [
 
 // traceStage1Run partitions g once with telemetry on and distils the span
 // totals relevant to the stage-I kernels.
-func traceStage1Run(g *graph.Graph, dataset string, seed uint64, p, workers int) (Stage1Run, error) {
+func traceStage1Run(g *graph.Graph, dataset string, seed uint64, p int) (Stage1Run, error) {
 	obs.Enable()
 	defer func() {
 		obs.Disable()
@@ -132,17 +124,16 @@ func traceStage1Run(g *graph.Graph, dataset string, seed uint64, p, workers int)
 	obs.ResetTrace()
 	obs.Default.Reset()
 
-	tlp := core.MustNew(core.Options{Seed: seed, Workers: workers})
+	tlp := core.MustNew(core.Options{Seed: seed})
 	start := time.Now()
 	a, stats, err := tlp.PartitionStats(g, p)
 	elapsed := time.Since(start).Seconds()
 	if err != nil {
-		return Stage1Run{}, fmt.Errorf("stage1 probe: TLP on %s p=%d workers=%d: %w", dataset, p, workers, err)
+		return Stage1Run{}, fmt.Errorf("stage1 probe: TLP on %s p=%d: %w", dataset, p, err)
 	}
 
 	recs, _ := obs.TraceRecords()
 	run := Stage1Run{
-		Workers: workers,
 		Seconds: elapsed,
 		Kernels: Stage1Kernels{
 			Scan:    stats.Stage1Kernels.Scan,
@@ -163,8 +154,6 @@ func traceStage1Run(g *graph.Graph, dataset string, seed uint64, p, workers int)
 			run.CompactSeconds = s.TotalSeconds
 		case "tlp.s1.intersect":
 			run.IntersectSeconds = s.TotalSeconds
-		case "tlp.s1.fold":
-			run.FoldSeconds = s.TotalSeconds
 		}
 	}
 	return run, nil

@@ -4,87 +4,155 @@ import (
 	"github.com/graphpart/graphpart/internal/graph"
 )
 
-// aliveAdj is a mutable, per-vertex compacted view of the CSR adjacency
-// restricted to alive (not yet assigned) edges. Rows start as copies of the
-// sorted CSR rows; when an edge is assigned, killEdge swap-removes it from
-// both endpoint rows in O(1), so the Stage-I scoring kernels iterate only
-// alive entries and never re-test assignment bits in their inner loops.
+// aliveAdj is a mutable, per-vertex view of the CSR adjacency restricted to
+// alive (not yet assigned) edges, stored as arcs: every edge u–v is the arc
+// u→v in u's row and the arc v→u in v's row, and each arc carries a twin
+// link to the slot of its reverse arc.
 //
-// Row order is NOT sorted after the first removal — it is a deterministic
-// function of the assignment history (which is itself deterministic), and
-// every consumer of a row is order-insensitive: intersection kernels count
-// set overlaps, and score folds push into heaps whose pop order depends only
-// on the entry multiset (the heap order (score, deg, v) is strict).
+// A row's alive arcs form one contiguous prefix ordered [forward | backward]:
+// arc v→u is forward when u ranks above v (ranksAbove: higher full degree,
+// ties broken by the higher vertex id), so every alive edge is forward in
+// exactly one of its two rows. Scanning only forward prefixes visits each
+// alive edge once, which is what lets the stage-I pass count each alive
+// triangle exactly once (updateStage1Scores, DESIGN.md §13).
 //
-// Memory: 2m neighbour ids + 2m edge ids + 2m row positions (int32 each)
-// beyond the CSR itself.
+// Retiring an edge needs only the slot of one of its arcs: the twin link
+// names the other, and removing an arc moves at most two arcs within its
+// row (the last forward arc into the hole, then the last alive arc into the
+// forward part's vacated end), each move fixing one twin link.
+//
+// Row order is a deterministic function of the assignment history (itself
+// deterministic), and every consumer of a row is order-insensitive:
+// triangle counts are sums, and score folds push into heaps whose pop order
+// depends only on the entry multiset (the heap order (score, deg, v) is
+// strict).
+//
+// Memory: 2m neighbour ids + 2m edge ids + 2m twin slots (4 bytes each)
+// plus two int32 counters per vertex, beyond the CSR itself. The twin links
+// are built in one pass over the CSR without scratch (newAliveAdj).
 type aliveAdj struct {
-	off   []int64        // off[v]:off[v+1] bounds v's backing row (CSR copy)
-	nbr   []graph.Vertex // neighbour ids; alive prefix is nbr[off[v]:off[v]+n[v]]
-	eid   []graph.EdgeID // edge ids parallel to nbr
-	n     []int32        // alive entries per vertex
-	pos   []int32        // pos[2*e+side] = row-relative index of edge e in its U (side 0) / V (side 1) row
-	edges []graph.Edge   // edge endpoints by id (aliases graph storage)
+	off []int64        // off[v]:off[v+1] bounds v's arc slots
+	nbr []graph.Vertex // neighbour ids; alive arcs are nbr[off[v]:off[v]+n[v]]
+	eid []graph.EdgeID // edge ids parallel to nbr
+	tw  []uint32       // tw[s] is the slot of arc s's reverse arc
+	n   []int32        // alive arcs per vertex
+	nf  []int32        // forward alive arcs per vertex: nbr[off[v]:off[v]+nf[v]]
 }
 
-// newAliveAdj copies the CSR adjacency into mutable rows with every edge
-// alive. Initial row order equals the sorted CSR order.
+// ranksAbove reports whether u, of full degree du, has a higher static rank
+// than v, of full degree dv: a higher degree, with ties broken by vertex id.
+func ranksAbove(u, v graph.Vertex, du, dv int) bool {
+	return du > dv || (du == dv && u > v)
+}
+
+// newAliveAdj lays out every edge as two twin-linked arcs, all alive. Each
+// edge is visited once, from its lower-id endpoint, and both arcs are
+// placed immediately, so no per-edge or per-arc scratch is needed: the
+// forward part of a row fills upwards from its start and the backward part
+// downwards from its end, with n (arcs placed) and nf (forward arcs placed)
+// as the only cursors. Both cursors end at their alive values.
 func newAliveAdj(g *graph.Graph) *aliveAdj {
 	nv := g.NumVertices()
 	m := g.NumEdges()
 	aa := &aliveAdj{
-		off:   make([]int64, nv+1),
-		nbr:   make([]graph.Vertex, 0, 2*m),
-		eid:   make([]graph.EdgeID, 0, 2*m),
-		n:     make([]int32, nv),
-		pos:   make([]int32, 2*m),
-		edges: g.Edges(),
+		off: make([]int64, nv+1),
+		nbr: make([]graph.Vertex, 2*m),
+		eid: make([]graph.EdgeID, 2*m),
+		tw:  make([]uint32, 2*m),
+		n:   make([]int32, nv),
+		nf:  make([]int32, nv),
 	}
 	for v := 0; v < nv; v++ {
-		nbrs := g.Neighbors(graph.Vertex(v))
-		eids := g.IncidentEdges(graph.Vertex(v))
-		aa.off[v+1] = aa.off[v] + int64(len(nbrs))
-		aa.nbr = append(aa.nbr, nbrs...)
-		aa.eid = append(aa.eid, eids...)
-		aa.n[v] = int32(len(nbrs))
-		for i, e := range eids {
-			side := 0
-			if aa.edges[e].V == graph.Vertex(v) {
-				side = 1
+		aa.off[v+1] = aa.off[v] + int64(g.Degree(graph.Vertex(v)))
+	}
+	for v := 0; v < nv; v++ {
+		vv := graph.Vertex(v)
+		dv := g.Degree(vv)
+		eids := g.IncidentEdges(vv)
+		for i, u := range g.Neighbors(vv) {
+			if u < vv {
+				continue
 			}
-			aa.pos[2*int(e)+side] = int32(i)
+			fwd := ranksAbove(u, vv, g.Degree(u), dv)
+			s := aa.place(vv, u, eids[i], fwd)
+			t := aa.place(u, vv, eids[i], !fwd)
+			aa.tw[s], aa.tw[t] = uint32(t), uint32(s)
 		}
 	}
 	return aa
 }
 
+// place appends arc v→u to the forward or backward part of v's row during
+// construction and returns its slot.
+func (aa *aliveAdj) place(v, u graph.Vertex, e graph.EdgeID, fwd bool) int64 {
+	var s int64
+	if fwd {
+		s = aa.off[v] + int64(aa.nf[v])
+		aa.nf[v]++
+	} else {
+		s = aa.off[v+1] - 1 - int64(aa.n[v]-aa.nf[v])
+	}
+	aa.n[v]++
+	aa.nbr[s], aa.eid[s] = u, e
+	return s
+}
+
 // row returns the alive neighbours of v and the parallel edge ids. The
-// slices alias internal storage and are invalidated by the next remove.
+// slices alias internal storage and are invalidated by the next kill.
 func (aa *aliveAdj) row(v graph.Vertex) ([]graph.Vertex, []graph.EdgeID) {
 	lo := aa.off[v]
 	hi := lo + int64(aa.n[v])
 	return aa.nbr[lo:hi], aa.eid[lo:hi]
 }
 
-// remove deletes edge e from both endpoint rows by swapping the last alive
-// entry into its slot and shrinking the alive count. Each edge must be
-// removed at most once.
-func (aa *aliveAdj) remove(e graph.EdgeID) {
-	ed := aa.edges[e]
-	aa.removeSide(e, ed.U, 0)
-	aa.removeSide(e, ed.V, 1)
+// forward returns v's alive neighbours of higher rank.
+func (aa *aliveAdj) forward(v graph.Vertex) []graph.Vertex {
+	lo := aa.off[v]
+	return aa.nbr[lo : lo+int64(aa.nf[v])]
 }
 
-func (aa *aliveAdj) removeSide(e graph.EdgeID, v graph.Vertex, side int) {
+// slotOf returns the slot of v's alive arc for edge e, or -1 when e is not
+// alive at v. It scans v's row and serves only the paths that retire edges
+// by id rather than by slot.
+func (aa *aliveAdj) slotOf(v graph.Vertex, e graph.EdgeID) int64 {
 	lo := aa.off[v]
-	p := lo + int64(aa.pos[2*int(e)+side])
-	last := lo + int64(aa.n[v]) - 1
-	moved := aa.eid[last]
-	aa.nbr[p], aa.eid[p] = aa.nbr[last], aa.eid[last]
-	ms := 0
-	if aa.edges[moved].V == v {
-		ms = 1
+	for s := lo; s < lo+int64(aa.n[v]); s++ {
+		if aa.eid[s] == e {
+			return s
+		}
 	}
-	aa.pos[2*int(moved)+ms] = int32(p - lo)
+	return -1
+}
+
+// kill retires the edge whose arc sits at slot s of v's row from both
+// endpoint rows. The caller may keep iterating v's row at s: the slot now
+// holds an arc that was not yet visited (or lies past the alive prefix).
+func (aa *aliveAdj) kill(v graph.Vertex, s int64) {
+	u, t := aa.nbr[s], int64(aa.tw[s])
+	aa.drop(v, s)
+	aa.drop(u, t)
+}
+
+// drop removes the arc at slot s from v's alive prefix. A forward arc is
+// replaced by the last forward arc, whose slot then takes the last alive
+// arc; a backward arc is replaced by the last alive arc directly.
+func (aa *aliveAdj) drop(v graph.Vertex, s int64) {
+	lo := aa.off[v]
+	if f := lo + int64(aa.nf[v]) - 1; s <= f {
+		aa.move(s, f)
+		s = f
+		aa.nf[v]--
+	}
+	aa.move(s, lo+int64(aa.n[v])-1)
 	aa.n[v]--
+}
+
+// move copies the arc at src into dst and repoints its twin at dst.
+func (aa *aliveAdj) move(dst, src int64) {
+	if dst == src {
+		return
+	}
+	t := aa.tw[src]
+	aa.nbr[dst], aa.eid[dst], aa.tw[dst] = aa.nbr[src], aa.eid[src], t
+	aa.tw[t] = uint32(dst)
 }

@@ -147,17 +147,20 @@ func (st *runState) recomputeInvariants(k int) (ein, eout int64, cinOK bool) {
 }
 
 // aliveStructureOK verifies the stage-I kernel structures from scratch
-// against the assignment: every compacted alive row holds exactly the
-// unassigned incident edges of its vertex (each entry carrying the right
-// neighbour, at the position the pos index claims, with no duplicates), the
-// row length equals the incremental aliveDeg counter, and every hub bitset
-// holds exactly the alive neighbourhood bit for bit.
+// against the assignment: every alive row holds exactly the unassigned
+// incident edges of its vertex (each arc carrying the right neighbour, with
+// no duplicates), ordered [forward | backward] with the forward prefix
+// holding exactly the alive higher-rank neighbours; every arc's twin link
+// names an arc of the same edge with the endpoints swapped that links back;
+// the row length equals the incremental aliveDeg counter; and every hub
+// bitset holds exactly the alive neighbourhood bit for bit.
 func (st *runState) aliveStructureOK() bool {
 	g := st.g
+	aa := st.alive
 	for v := 0; v < g.NumVertices(); v++ {
 		u := graph.Vertex(v)
-		vn, ve := st.alive.row(u)
-		if int32(len(vn)) != st.aliveDeg[u] {
+		vn, ve := aa.row(u)
+		if int32(len(vn)) != st.aliveDeg[u] || aa.nf[u] < 0 || aa.nf[u] > aa.n[u] {
 			return false
 		}
 		seen := make(map[graph.EdgeID]bool, len(ve))
@@ -166,18 +169,14 @@ func (st *runState) aliveStructureOK() bool {
 				return false
 			}
 			seen[e] = true
-			ed := g.Edges()[e]
-			var w graph.Vertex
-			var side int
-			switch u {
-			case ed.U:
-				w, side = ed.V, 0
-			case ed.V:
-				w, side = ed.U, 1
-			default:
+			w := g.Edge(e).Other(u)
+			if vn[i] != w || (i < int(aa.nf[u])) != ranksAbove(w, u, g.Degree(w), g.Degree(u)) {
 				return false
 			}
-			if vn[i] != w || int(st.alive.pos[2*int(e)+side]) != i {
+			s := aa.off[u] + int64(i)
+			t := int64(aa.tw[s])
+			if t < aa.off[w] || t >= aa.off[w]+int64(aa.n[w]) ||
+				int64(aa.tw[t]) != s || aa.eid[t] != e || aa.nbr[t] != u {
 				return false
 			}
 		}
@@ -189,6 +188,9 @@ func (st *runState) aliveStructureOK() bool {
 		}
 		if alive != len(ve) {
 			return false
+		}
+		if st.hubBits == nil {
+			continue
 		}
 		if hb := st.hubBits[u]; hb != nil {
 			pc := 0

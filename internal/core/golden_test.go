@@ -14,8 +14,8 @@ import (
 // goldenHash folds an assignment's per-edge partition ids (little-endian
 // int32, unassigned as -1) through FNV-1a 64. The recipe is fixed forever:
 // the expected values below were captured from the pre-kernel scoring code,
-// so matching them proves the compacted-adjacency/bitset/gallop kernels and
-// the parallel scoring fold are bit-identical with the original
+// so matching them proves the alive-row layout, the oriented triangle
+// counts and the pair kernels are bit-identical with the original
 // mark-and-scan implementation.
 func goldenHash(a *partition.Assignment) uint64 {
 	h := fnv.New64a()
@@ -80,20 +80,20 @@ func goldenGraph(t *testing.T, notation string) *graph.Graph {
 	return nil
 }
 
-// runGolden partitions the case's graph with the case's algorithm at the
-// given worker count and returns the assignment.
-func runGolden(t *testing.T, g *graph.Graph, c goldenCase, workers int) *partition.Assignment {
+// runGolden partitions the case's graph with the case's algorithm and
+// returns the assignment.
+func runGolden(t *testing.T, g *graph.Graph, c goldenCase) *partition.Assignment {
 	t.Helper()
 	var pt partition.Partitioner
 	switch c.algo {
 	case "tlp":
-		pt = core.MustNew(core.Options{Seed: 42, Workers: workers})
+		pt = core.MustNew(core.Options{Seed: 42})
 	case "tlpr":
-		pt = core.MustNewTLPR(0.5, core.Options{Seed: 42, Workers: workers})
+		pt = core.MustNewTLPR(0.5, core.Options{Seed: 42})
 	case "exact":
-		pt = core.MustNew(core.Options{Seed: 42, Stage1Exact: true, Workers: workers})
+		pt = core.MustNew(core.Options{Seed: 42, Stage1Exact: true})
 	case "maxdeg":
-		pt = core.MustNew(core.Options{Seed: 42, Stage1Policy: core.PolicyMaxDegree, Workers: workers})
+		pt = core.MustNew(core.Options{Seed: 42, Stage1Policy: core.PolicyMaxDegree})
 	default:
 		t.Fatalf("unknown algo %q", c.algo)
 	}
@@ -106,19 +106,14 @@ func runGolden(t *testing.T, g *graph.Graph, c goldenCase, workers int) *partiti
 
 // TestGoldenSeedIdentity proves the kernel rework changed nothing the user
 // can observe: every (dataset, algorithm, p) case reproduces the exact
-// partition hash the pre-rework code produced, at every worker count — the
-// parallel scoring fan-out must be invisible in the output.
+// partition hash the pre-rework code produced.
 func TestGoldenSeedIdentity(t *testing.T) {
 	for _, c := range goldenCases {
 		c := c
 		t.Run(fmt.Sprintf("%s/%s/p%d", c.dataset, c.algo, c.p), func(t *testing.T) {
 			g := goldenGraph(t, c.dataset)
-			for _, workers := range []int{1, 2, 4, 8} {
-				a := runGolden(t, g, c, workers)
-				if got := goldenHash(a); got != c.want {
-					t.Errorf("workers=%d: partition hash %#016x, want seed-identical %#016x",
-						workers, got, c.want)
-				}
+			if got := goldenHash(runGolden(t, g, c)); got != c.want {
+				t.Errorf("partition hash %#016x, want seed-identical %#016x", got, c.want)
 			}
 		})
 	}

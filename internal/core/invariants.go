@@ -40,30 +40,45 @@ func (st *runState) assertRoundInvariants() {
 }
 
 // assertAliveInvariants cross-checks the stage-I kernel structures against
-// the aliveDeg counters they must mirror: every compacted row's alive
-// length equals aliveDeg, the row lengths sum to twice the unassigned edge
-// count (each alive edge appears in exactly two rows), and every hub
-// bitset's popcount equals its owner's alive degree. A drift here silently
-// corrupts every subsequent Eq. 7 score. No-op unless built with
-// -tags graphpart_invariants.
+// the aliveDeg counters they must mirror: every alive row's length equals
+// aliveDeg and its forward prefix fits inside it, every alive arc's twin
+// link names an arc of the same edge that links back, the row lengths sum
+// to twice the unassigned edge count (each alive edge appears in exactly
+// two rows), and every hub bitset's popcount equals its owner's alive
+// degree. A drift here silently corrupts every subsequent Eq. 7 score.
+// No-op unless built with -tags graphpart_invariants.
 func (st *runState) assertAliveInvariants() {
 	if !invariants.Enabled {
 		return
 	}
+	aa := st.alive
 	var aliveTotal int64
 	for v := range st.aliveDeg {
-		invariants.Assertf(st.alive.n[v] == st.aliveDeg[v],
-			"round %d: vertex %d compacted alive row has %d entries but aliveDeg=%d",
-			st.round, v, st.alive.n[v], st.aliveDeg[v])
-		aliveTotal += int64(st.alive.n[v])
+		invariants.Assertf(aa.n[v] == st.aliveDeg[v],
+			"round %d: vertex %d alive row has %d arcs but aliveDeg=%d",
+			st.round, v, aa.n[v], st.aliveDeg[v])
+		invariants.Assertf(aa.nf[v] >= 0 && aa.nf[v] <= aa.n[v],
+			"round %d: vertex %d has %d forward arcs among %d alive",
+			st.round, v, aa.nf[v], aa.n[v])
+		aliveTotal += int64(aa.n[v])
+		for s := aa.off[v]; s < aa.off[v]+int64(aa.n[v]); s++ {
+			if t := aa.tw[s]; int64(aa.tw[t]) != s || aa.eid[t] != aa.eid[s] || int(aa.nbr[t]) != v {
+				invariants.Assertf(false,
+					"round %d: vertex %d arc slot %d (edge %d) has twin slot %d linking back to %d",
+					st.round, v, s, aa.eid[s], t, aa.tw[t])
+			}
+		}
+		if st.hubBits == nil {
+			continue
+		}
 		if w := st.hubBits[v]; w != nil {
 			pc := 0
 			for _, word := range w {
 				pc += bits.OnesCount64(word)
 			}
-			invariants.Assertf(pc == int(st.alive.n[v]),
+			invariants.Assertf(pc == int(aa.n[v]),
 				"round %d: hub %d bitset popcount=%d but alive row has %d entries",
-				st.round, v, pc, st.alive.n[v])
+				st.round, v, pc, aa.n[v])
 		}
 	}
 	unassigned := int64(st.g.NumEdges() - st.a.AssignedCount())

@@ -7,14 +7,18 @@ import (
 	"github.com/graphpart/graphpart/internal/graph"
 )
 
-// Stage-I intersection kernels. Every kernel computes the same integer,
+// Stage-I pair-overlap kernels. Every kernel computes the same integer,
 //
 //	overlap(a, b) = |aliveN(a) ∩ aliveN(b)|,
 //
 // the count of common neighbours x with both edges (a,x) and (b,x) still
 // unassigned, so kernel selection can never change the partitioning — only
-// how fast the count is produced. Selection is a deterministic function of
-// alive degrees and hub flags (DESIGN.md §13):
+// how fast the count is produced. They serve only the callers that need
+// one pair at a time: Stage1Exact's computeMu1 and OverlapProbe. The
+// default cached path counts every candidate of an absorption at once
+// (updateStage1Scores) and reports its evaluations as kernelScan.
+// Selection is a deterministic function of alive degrees and hub flags
+// (DESIGN.md §13):
 //
 //   - word:   both endpoints are hubs and their alive-neighbourhood bitsets
 //     are shorter than either alive row — AND the bitsets word-at-a-time and
@@ -61,12 +65,16 @@ func hubDegreeThreshold(n int) int {
 	return t
 }
 
-// initHubBitsets allocates and fills the persistent alive-neighbourhood
-// bitset of every hub (degree ≥ hubDegreeThreshold). All edges are alive at
-// construction, so bits mirror the CSR rows; killEdge keeps them current.
-func (st *runState) initHubBitsets() {
+// initPairKernels allocates the pair kernels' state: the mark stamps and
+// the persistent alive-neighbourhood bitset of every hub (degree ≥
+// hubDegreeThreshold). Only Stage1Exact runs and OverlapProbe need pair
+// overlaps; the default cached path counts triangles instead
+// (updateStage1Scores) and never builds these. All edges are alive at
+// construction, so bits mirror the CSR rows; killSlot keeps them current.
+func (st *runState) initPairKernels() {
 	g := st.g
 	n := g.NumVertices()
+	st.markStamp = make([]int32, n)
 	st.hubThreshold = hubDegreeThreshold(n)
 	st.hubWords = (n + 63) / 64
 	st.hubBits = make([][]uint64, n)
@@ -82,20 +90,31 @@ func (st *runState) initHubBitsets() {
 	}
 }
 
-// killEdge retires an assigned edge from every Stage-I structure: the
-// compacted alive rows of both endpoints and, for hub endpoints, the
-// persistent neighbourhood bitsets.
+// killSlot retires the assigned edge whose arc sits at slot s of v's alive
+// row from every Stage-I structure: both endpoint rows (through the twin
+// link) and, when the pair kernels are built, hub endpoints' bitsets.
 //
 //graphpart:hotpath test=TestHotPathAllocs_Stage1Kernels
+func (st *runState) killSlot(v graph.Vertex, s int64) {
+	u := st.alive.nbr[s]
+	st.alive.kill(v, s)
+	if st.hubBits == nil {
+		return
+	}
+	if w := st.hubBits[v]; w != nil {
+		w[u>>6] &^= 1 << (uint(u) & 63)
+	}
+	if w := st.hubBits[u]; w != nil {
+		w[v>>6] &^= 1 << (uint(v) & 63)
+	}
+}
+
+// killEdge retires edge e by id, finding its arc in the U endpoint's row.
+// The partitioning loop always knows the slot and calls killSlot; this
+// serves the probe and tests that retire arbitrary edges.
 func (st *runState) killEdge(e graph.EdgeID) {
-	st.alive.remove(e)
-	ed := st.alive.edges[e]
-	if w := st.hubBits[ed.U]; w != nil {
-		w[ed.V>>6] &^= 1 << (uint(ed.V) & 63)
-	}
-	if w := st.hubBits[ed.V]; w != nil {
-		w[ed.U>>6] &^= 1 << (uint(ed.U) & 63)
-	}
+	u := st.g.Edge(e).U
+	st.killSlot(u, st.alive.slotOf(u, e))
 }
 
 // markAlive stamps a's alive neighbourhood for the scan kernel and returns
@@ -117,8 +136,7 @@ func (st *runState) markAlive(a graph.Vertex) int32 {
 
 // overlapAlive dispatches the cheapest exact kernel for overlap(a, b).
 // Precondition: markAlive(a) was called with the returned mark (hubs need no
-// marks). The function only reads shared state, so concurrent calls for
-// distinct b are safe while no absorption is in flight.
+// marks).
 //
 //graphpart:hotpath test=TestHotPathAllocs_Stage1Kernels
 func (st *runState) overlapAlive(a, b graph.Vertex, mark int32) (int, kernelKind) {

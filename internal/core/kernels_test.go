@@ -84,12 +84,11 @@ func killRandomEdges(st *runState, r *rng.RNG, frac float64) {
 func drainVertex(st *runState, v graph.Vertex, keep int) {
 	for int(st.alive.n[v]) > keep {
 		_, ve := st.alive.row(v)
-		eid := ve[0]
-		ed := st.g.Edges()[eid]
-		st.a.Assign(eid, 0)
+		ed := st.g.Edge(ve[0])
+		st.a.Assign(ve[0], 0)
 		st.aliveDeg[ed.U]--
 		st.aliveDeg[ed.V]--
-		st.killEdge(eid)
+		st.killSlot(v, st.alive.off[v])
 	}
 }
 
@@ -97,7 +96,9 @@ func drainVertex(st *runState, v graph.Vertex, keep int) {
 // mark-and-scan reference: on a hubby graph with a random fraction of edges
 // killed, overlapAlive must return the exact same count as the reference
 // for every pair, whichever kernel the dispatch picks — and the dispatch
-// must actually reach all four exact kernels.
+// must actually reach all four exact kernels. The oriented triangle counts
+// of the cached path must equal overlapAlive for every alive neighbour of
+// every vertex.
 func TestOverlapKernelsDifferential(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
 		g := hubbyGraph(seed, 600)
@@ -106,6 +107,7 @@ func TestOverlapKernelsDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := newRunState(g, a, Options{Seed: seed})
+		st.initPairKernels()
 		r := rng.New(seed ^ 0x9e3779b97f4a7c15)
 		killRandomEdges(st, r, 0.4)
 		drainVertex(st, 2, 3) // hub 2 keeps its bitset but a tiny alive row
@@ -145,24 +147,53 @@ func TestOverlapKernelsDifferential(t *testing.T) {
 				t.Errorf("seed %d: kernel %d never dispatched (index %d)", seed, kind, k)
 			}
 		}
+
+		triangles := 0
+		for j := graph.Vertex(0); int(j) < n; j++ {
+			jn, _ := st.alive.row(j)
+			st.countTriangles(jn)
+			for _, v := range jn {
+				got := int(st.tri[v])
+				st.tri[v] = -1
+				want, _ := st.overlapAlive(v, j, st.markAlive(v))
+				if got != want {
+					t.Fatalf("seed %d: oriented count for candidate %d of %d = %d, overlapAlive = %d",
+						seed, v, j, got, want)
+				}
+				triangles += got
+			}
+		}
+		if triangles == 0 {
+			t.Fatalf("seed %d: no alive triangles counted", seed)
+		}
+		for v, c := range st.tri {
+			if c != -1 {
+				t.Fatalf("seed %d: tri[%d] = %d left set after scoring", seed, v, c)
+			}
+		}
 	}
 }
 
 // TestStage1KernelEngagement runs full partitionings and checks the kernel
-// mix reported in Stats: a default run on a hub-heavy graph must exercise
-// the scan, bitset and word kernels (and no sampled evaluations).
+// mix reported in Stats: a default run on a hub-heavy graph reports only
+// oriented evaluations (under Scan, since the pair kernels are never built
+// there), while a Stage1Exact run still reaches the bitset and word pair
+// kernels. Neither reports sampled evaluations.
 func TestStage1KernelEngagement(t *testing.T) {
 	g := hubbyGraph(3, 600)
 	_, stats, err := MustNew(Options{Seed: 42}).PartitionStats(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := stats.Stage1Kernels
-	if k.Scan == 0 || k.Bitset == 0 || k.Word == 0 {
-		t.Errorf("default run kernel counts %+v: want scan, bitset and word all engaged", k)
+	if k := stats.Stage1Kernels; k.Scan == 0 || k.Bitset != 0 || k.Word != 0 || k.Gallop != 0 || k.Sampled != 0 {
+		t.Errorf("default run kernel counts %+v: want only oriented (scan) evaluations", k)
 	}
-	if k.Sampled != 0 {
-		t.Errorf("default run reported %d sampled evaluations, want 0", k.Sampled)
+	_, stats, err = MustNew(Options{Seed: 42, Stage1Exact: true}).PartitionStats(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := stats.Stage1Kernels; k.Bitset == 0 || k.Word == 0 || k.Sampled != 0 {
+		t.Errorf("exact run kernel counts %+v: want bitset and word engaged, no sampling", k)
 	}
 }
 

@@ -21,6 +21,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 )
 
 // Stage1Policy selects the Stage-I vertex selection rule; the paper's mu_s1
@@ -48,7 +49,7 @@ type Options struct {
 	// CapacitySlack scales the per-partition capacity:
 	// C = ceil(slack * m / p). Zero means 1.0 (the paper's balanced
 	// setting). Values below 1 are rejected — the assignment could not
-	// cover the graph.
+	// cover the graph — and so are NaN and ±Inf.
 	CapacitySlack float64
 
 	// LiteralBreak restores Algorithm 1's literal behaviour of ending a
@@ -69,13 +70,6 @@ type Options struct {
 	// stale scores when alive degrees drift; exact mode exists for tests
 	// and small graphs.
 	Stage1Exact bool
-
-	// Workers bounds the goroutines of the stage-I parallel scoring
-	// fan-out. Zero resolves through GRAPHPART_WORKERS and then GOMAXPROCS
-	// (internal/parallel). The partitioning is bit-identical for every
-	// value: workers only compute index-addressed intersection counts, and
-	// the sequential fold consumes them in a fixed order.
-	Workers int
 }
 
 func (o Options) capacitySlack() float64 {
@@ -86,11 +80,11 @@ func (o Options) capacitySlack() float64 {
 }
 
 func (o Options) validate() error {
+	if math.IsNaN(o.CapacitySlack) || math.IsInf(o.CapacitySlack, 0) {
+		return fmt.Errorf("core: capacity slack %v is not finite", o.CapacitySlack)
+	}
 	if o.CapacitySlack != 0 && o.CapacitySlack < 1.0 {
 		return fmt.Errorf("core: capacity slack %v < 1 cannot cover the graph", o.CapacitySlack)
-	}
-	if o.Workers < 0 {
-		return fmt.Errorf("core: negative worker count %d", o.Workers)
 	}
 	switch o.Stage1Policy {
 	case 0, PolicyMuS1, PolicyMaxDegree:
@@ -135,7 +129,9 @@ type Stats struct {
 // KernelCounts tallies stage-I intersection evaluations per kernel. Every
 // kernel computes the same exact overlap.
 type KernelCounts struct {
-	// Scan counts epoch-stamp scans over compacted alive rows.
+	// Scan counts stamp scans over alive rows: the default cached path's
+	// oriented triangle counts (one per candidate scored) and the pair
+	// scan kernel under Stage1Exact.
 	Scan int64
 	// Bitset counts alive-row scans against a persistent hub bitset.
 	Bitset int64

@@ -12,8 +12,8 @@ import (
 // frozen mid-run state, so benchmarks (bench_test.go's
 // BenchmarkStage1Overlap*) and diagnostics can measure one kernel at a time
 // without running a whole partitioning. It builds the same structures a run
-// uses — compacted alive rows, hub bitsets — and optionally retires a
-// random fraction of edges so the rows resemble mid-round state.
+// uses — alive rows, hub bitsets — and optionally retires a random
+// fraction of edges so the rows resemble mid-round state.
 type OverlapProbe struct {
 	st *runState
 }
@@ -24,7 +24,7 @@ func NewOverlapProbe(g *graph.Graph, deadFraction float64, seed uint64) (*Overla
 	if g == nil {
 		return nil, fmt.Errorf("core: nil graph")
 	}
-	if deadFraction < 0 || deadFraction >= 1 {
+	if !(deadFraction >= 0 && deadFraction < 1) {
 		return nil, fmt.Errorf("core: dead fraction %v outside [0,1)", deadFraction)
 	}
 	a, err := partition.New(g.NumEdges(), 2)
@@ -32,6 +32,7 @@ func NewOverlapProbe(g *graph.Graph, deadFraction float64, seed uint64) (*Overla
 		return nil, err
 	}
 	st := newRunState(g, a, Options{Seed: seed})
+	st.initPairKernels()
 	r := rng.New(seed)
 	for e := 0; e < g.NumEdges(); e++ {
 		if r.Float64() >= deadFraction {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"github.com/graphpart/graphpart/internal/graph"
-	"github.com/graphpart/graphpart/internal/parallel"
 )
 
 // Stage-I selection maximises mu_s1 (Eq. 7): the closeness of a frontier
@@ -14,10 +13,11 @@ import (
 //   - Cached/incremental (default): when member j is absorbed, each frontier
 //     neighbour v gains exactly one new term overlap(v,j)/|N(j)|; the cached
 //     score is the running maximum of the terms observed, and a lazy max-heap
-//     orders candidates. Per absorption this costs O(deg(j) + sum of deg(v)
-//     over j's frontier neighbours), so a whole round stays near the paper's
-//     O(L²d²) bound without rescanning the frontier every step. Terms are
-//     frozen as evaluated (alive-degree drift after evaluation is ignored).
+//     orders candidates. Per absorption this costs O(deg(j) + sum of the
+//     forward alive degrees of j's frontier neighbours), so a whole round
+//     stays within the paper's O(L²d²) bound without rescanning the frontier
+//     every step. Terms are frozen as evaluated (alive-degree drift after
+//     evaluation is ignored).
 //   - Exact (Options.Stage1Exact): every step recomputes every candidate
 //     from scratch — the paper's literal evaluation order; used by tests and
 //     available for small graphs.
@@ -163,100 +163,65 @@ func (st *runState) selectStage1Exact() (graph.Vertex, bool) {
 	return bestV, found
 }
 
-// stage1ParallelMin is the candidate count below which the scoring fan-out
-// stays on the calling goroutine: pool startup costs a few microseconds,
-// which only pays off once a frontier row carries hundreds of intersections.
-const stage1ParallelMin = 256
-
 // updateStage1Scores folds the newly absorbed member j into the cached
 // mu_s1 scores of its frontier neighbours: each gains the candidate term
 // overlap(v, j) / |N(j)| where N(·) is the alive neighbourhood.
-//
-// The loop runs in three phases over j's compacted alive row (DESIGN.md
-// §13): mark (stamp j's alive neighbourhood, skipped for hubs whose
-// persistent bitset already answers membership), intersect (one exact
-// kernel evaluation per candidate, fanned over internal/parallel when the
-// row is large — results land in the index-addressed countBuf, so the
-// counts are bit-identical for any worker count), and fold (sequential
-// heap/score updates in row order). Only the intersect phase runs
-// concurrently, and it exclusively reads state, so the fold — the only
-// writer — keeps the output byte-for-byte equal to a 1-worker run.
+// countTriangles produces every candidate's overlap in one pass over the
+// forward prefixes of j's alive neighbours (DESIGN.md §13); the fold then
+// updates scores and the heap in row order, resetting the counts as it
+// goes.
 func (st *runState) updateStage1Scores(j graph.Vertex) {
-	if st.opts.Stage1Exact || st.opts.stage1Policy() == PolicyMaxDegree {
-		return // these modes rescan; no cache to maintain
+	if st.tri == nil {
+		return // exact and max-degree modes rescan; no cache to maintain
 	}
 	dj := st.aliveDeg[j]
 	if dj <= 0 {
 		return
 	}
 	w := st.kernelWatch()
-	mark := st.markAlive(j)
-
 	jn, _ := st.alive.row(j)
+	st.countTriangles(jn)
 	djf := float64(dj)
-	if len(jn) < stage1ParallelMin || st.workers <= 1 {
-		// Sequential rows fuse intersect and fold into one pass: the fold
-		// only writes mu1Score/mu1Heap, which no kernel reads, so the fused
-		// pass computes exactly what the staged one does. Fold time is
-		// accounted under intersect here.
-		var local [numKernels]int64
-		for _, v := range jn {
-			if st.isMember(v) {
-				continue
-			}
-			cnt, kind := st.overlapAlive(j, v, mark)
-			local[kind]++
-			if score := float64(cnt) / djf; score > st.mu1Score[v] {
-				st.mu1Score[v] = score
-				st.mu1Heap.push(scoreEntry{score: score, deg: st.aliveDeg[v], v: v})
-				st.maybeCompactMu1Heap()
-			}
-		}
-		for k, n := range local {
-			if n > 0 {
-				st.kernelCounts[k].Add(n)
-			}
-		}
-		st.tIntersect += w.lap()
-		return
-	}
-
-	if cap(st.countBuf) < len(jn) {
-		st.countBuf = make([]int32, len(jn)*2)
-	}
-	counts := st.countBuf[:len(jn)]
-	chunks := parallel.Chunks(len(jn), st.workers*4)
-	parallel.ForEach(len(chunks), st.workers, func(c int) {
-		var local [numKernels]int64
-		for i := chunks[c][0]; i < chunks[c][1]; i++ {
-			v := jn[i]
-			if st.isMember(v) {
-				counts[i] = -1
-				continue
-			}
-			cnt, kind := st.overlapAlive(j, v, mark)
-			counts[i] = int32(cnt)
-			local[kind]++
-		}
-		for k, n := range local {
-			if n > 0 {
-				st.kernelCounts[k].Add(n)
-			}
-		}
-	})
-	st.tIntersect += w.lap()
-
-	for i, v := range jn {
-		if counts[i] < 0 {
+	var evals int64
+	for _, v := range jn {
+		cnt := st.tri[v]
+		st.tri[v] = -1
+		if st.isMember(v) {
 			continue
 		}
-		if score := float64(counts[i]) / djf; score > st.mu1Score[v] {
+		evals++
+		if score := float64(cnt) / djf; score > st.mu1Score[v] {
 			st.mu1Score[v] = score
 			st.mu1Heap.push(scoreEntry{score: score, deg: st.aliveDeg[v], v: v})
 			st.maybeCompactMu1Heap()
 		}
 	}
-	st.tFold += w.lap()
+	st.kernelCounts[kernelScan] += evals
+	st.tIntersect += w.lap()
+}
+
+// countTriangles leaves tri[v] = |aliveN(j) ∩ aliveN(v)| for every v in
+// j's alive row jn; the caller resets those entries to -1. Each alive edge
+// v–x with both ends in jn closes the alive triangle j–v–x and lies in the
+// forward prefix of exactly one of v and x, so scanning only forward
+// prefixes finds each triangle once and credits both ends.
+//
+//graphpart:hotpath test=TestHotPathAllocs_Stage1Kernels
+func (st *runState) countTriangles(jn []graph.Vertex) {
+	tri := st.tri
+	for _, v := range jn {
+		tri[v] = 0
+	}
+	for _, v := range jn {
+		var c int32
+		for _, x := range st.alive.forward(v) {
+			if tri[x] >= 0 {
+				tri[x]++
+				c++
+			}
+		}
+		tri[v] += c
+	}
 }
 
 // maybeCompactMu1Heap drops stale lazy-heap entries once they outnumber the
@@ -301,7 +266,7 @@ func (st *runState) computeMu1(v graph.Vertex) float64 {
 			continue
 		}
 		common, kind := st.overlapAlive(v, j, mark)
-		st.kernelCounts[kind].Add(1)
+		st.kernelCounts[kind]++
 		if score := float64(common) / float64(dj); score > best {
 			best = score
 		}

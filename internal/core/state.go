@@ -1,11 +1,9 @@
 package core
 
 import (
-	"sync/atomic"
 	"time"
 
 	"github.com/graphpart/graphpart/internal/graph"
-	"github.com/graphpart/graphpart/internal/parallel"
 	"github.com/graphpart/graphpart/internal/partition"
 	"github.com/graphpart/graphpart/internal/rng"
 )
@@ -56,29 +54,28 @@ type runState struct {
 	mu1Score []float64
 	mu1Heap  scoreHeap
 
-	// scratch stamps for common-neighbour marking (mu_s1).
-	markStamp []int32
-	markEpoch int32
+	// Stage-I scoring state (DESIGN.md §13): the twin-linked alive
+	// adjacency, and the cached path's per-vertex triangle counts — tri[x]
+	// is -1 except while updateStage1Scores scores a row containing x.
+	alive *aliveAdj
+	tri   []int32
 
-	// Stage-I scoring kernel state (DESIGN.md §13): the compacted alive
-	// adjacency, the persistent hub bitsets, and the resolved worker count
-	// for the parallel frontier-scoring fan-out.
-	alive        *aliveAdj
+	// Pair-kernel state, built by initPairKernels only for Stage1Exact runs
+	// and OverlapProbe: epoch stamps for the scan kernel and the persistent
+	// hub bitsets.
+	markStamp    []int32
+	markEpoch    int32
 	hubBits      [][]uint64 // nil for non-hubs; alive-neighbour bitset for hubs
 	hubWords     int        // words per hub bitset: ceil(n/64)
 	hubThreshold int        // full degree at which a vertex becomes a hub
-	workers      int        // resolved stage-I scoring workers
-	countBuf     []int32    // per-candidate overlap results, index-addressed
 
-	// kernelCounts tallies intersections per kernelKind; atomics because
-	// parallel scoring workers merge per-chunk counts concurrently.
-	kernelCounts [numKernels]atomic.Int64
+	// kernelCounts tallies stage-I evaluations per kernelKind.
+	kernelCounts [numKernels]int64
 
-	// Per-round kernel-phase wall-clock accumulators, only advanced while
-	// telemetry records; flushed as tlp.s1.* trace segments at round end.
-	// Marking is accounted under intersect (one fewer clock read per
-	// absorption on the hot path).
-	tCompact, tIntersect, tFold time.Duration
+	// Per-round wall-clock accumulators for edge retirement and scoring,
+	// only advanced while telemetry records; flushed as tlp.s1.* trace
+	// segments at round end.
+	tCompact, tIntersect time.Duration
 
 	// ein/eout are |E(P_k)| and |E_out(P_k)| of the current round's
 	// partition, maintained incrementally.
@@ -97,7 +94,6 @@ func newRunState(g *graph.Graph, a *partition.Assignment, opts Options) *runStat
 		frontierEpoch: make([]int32, n),
 		cin:           make([]int32, n),
 		mu1Score:      make([]float64, n),
-		markStamp:     make([]int32, n),
 	}
 	st.alivePool = make([]graph.Vertex, 0, n)
 	for v := 0; v < n; v++ {
@@ -107,9 +103,18 @@ func newRunState(g *graph.Graph, a *partition.Assignment, opts Options) *runStat
 			st.alivePool = append(st.alivePool, graph.Vertex(v))
 		}
 	}
-	st.workers = parallel.Workers(opts.Workers)
 	st.alive = newAliveAdj(g)
-	st.initHubBitsets()
+	switch {
+	case opts.stage1Policy() == PolicyMaxDegree:
+		// Max-degree selection reads no overlaps.
+	case opts.Stage1Exact:
+		st.initPairKernels()
+	default:
+		st.tri = make([]int32, n)
+		for v := range st.tri {
+			st.tri[v] = -1
+		}
+	}
 	return st
 }
 

@@ -128,8 +128,7 @@ func (rt *roundTrace) end(st *runState) {
 	}
 	rt.round.Segment("tlp.s1.compact", st.tCompact)
 	rt.round.Segment("tlp.s1.intersect", st.tIntersect)
-	rt.round.Segment("tlp.s1.fold", st.tFold)
-	st.tCompact, st.tIntersect, st.tFold = 0, 0, 0
+	st.tCompact, st.tIntersect = 0, 0
 	rt.round.EndWith(obs.Int64("ein", st.ein), obs.Int64("eout", st.eout),
 		obs.Int("frontier", len(st.frontierList)))
 }

@@ -132,8 +132,7 @@ func runLocal(g *graph.Graph, p int, opts Options, isStage1 stagePolicy) (*parti
 		obs.Int("p", p), obs.Int("edges", m), obs.Int("capacity", capC))
 	bsp := sp.Child("tlp.s1.build")
 	st := newRunState(g, a, opts)
-	bsp.EndWith(obs.Int("hub_threshold", st.hubThreshold),
-		obs.Int("workers", st.workers))
+	bsp.EndWith(obs.Int("hub_threshold", st.hubThreshold))
 	assigned := 0
 	for k := 0; k < p && assigned < m; k++ {
 		stats.Rounds++
@@ -238,10 +237,10 @@ func runLocal(g *graph.Graph, p int, opts Options, isStage1 stagePolicy) (*parti
 		ssp.EndWith(obs.Int("swept", stats.SweptEdges))
 	}
 	stats.Stage1Kernels = KernelCounts{
-		Scan:   st.kernelCounts[kernelScan].Load(),
-		Bitset: st.kernelCounts[kernelBitset].Load(),
-		Word:   st.kernelCounts[kernelWord].Load(),
-		Gallop: st.kernelCounts[kernelGallop].Load(),
+		Scan:   st.kernelCounts[kernelScan],
+		Bitset: st.kernelCounts[kernelBitset],
+		Word:   st.kernelCounts[kernelWord],
+		Gallop: st.kernelCounts[kernelGallop],
 	}
 	recordRunMetrics(&stats)
 	sp.EndWith(obs.Int("rounds", stats.Rounds),
@@ -261,9 +260,9 @@ func runLocal(g *graph.Graph, p int, opts Options, isStage1 stagePolicy) (*parti
 func (st *runState) absorb(v graph.Vertex, k, capC int) (assigned int, full bool) {
 	// cin[v] is exact for any non-member mid-round (an alive v-member edge
 	// can only die by absorbing v itself), so ein+cin tells up front whether
-	// the capacity can be hit mid-vertex. Only that rare path must scan the
-	// full CSR row — a capacity break has always assigned a CSR-order edge
-	// prefix, and compacted rows are in swap-mutated order.
+	// the capacity can be hit mid-vertex. Only that rare path must choose
+	// which member edges to assign: a capacity break has always assigned a
+	// CSR-order edge prefix, and alive rows are in swap-mutated order.
 	cin := 0
 	if st.inFrontier(v) {
 		cin = int(st.cin[v])
@@ -271,31 +270,37 @@ func (st *runState) absorb(v graph.Vertex, k, capC int) (assigned int, full bool
 	if int(st.ein)+cin > capC {
 		return st.absorbPrefix(v, k, capC)
 	}
-	w := st.kernelWatch()
 	// Guaranteed-full absorption: every alive member edge gets assigned, so
-	// assignment order cannot matter and the loop walks only v's compacted
-	// alive row. killEdge swaps the row's last alive entry into the current
-	// slot, so the index only advances past non-member entries.
+	// assignment order cannot matter.
+	assigned = st.assignMemberEdges(v, k, math.MaxInt32)
+	st.finishAbsorb(v)
+	return assigned, true
+}
+
+// assignMemberEdges assigns to partition k every alive edge between v and a
+// member whose id is at most limit, walking only v's alive row. killSlot
+// moves a not-yet-visited arc into the current slot, so the index only
+// advances past arcs it keeps.
+func (st *runState) assignMemberEdges(v graph.Vertex, k int, limit graph.Vertex) (assigned int) {
+	w := st.kernelWatch()
 	aa := st.alive
 	lo := aa.off[v]
-	for i := int64(0); i < int64(aa.n[v]); {
-		u := aa.nbr[lo+i]
-		if !st.isMember(u) {
-			i++
+	for s := lo; s < lo+int64(aa.n[v]); {
+		u := aa.nbr[s]
+		if u > limit || !st.isMember(u) {
+			s++
 			continue
 		}
-		eid := aa.eid[lo+i]
-		st.a.Assign(eid, k)
+		st.a.Assign(aa.eid[s], k)
 		st.ein++
 		st.eout--
 		st.aliveDeg[v]--
 		st.aliveDeg[u]--
-		st.killEdge(eid)
+		st.killSlot(v, s)
 		assigned++
 	}
 	st.tCompact += w.lap()
-	st.finishAbsorb(v)
-	return assigned, true
+	return assigned
 }
 
 // finishAbsorb records v as a member and extends the frontier: after a full
@@ -317,42 +322,39 @@ func (st *runState) finishAbsorb(v graph.Vertex) {
 	st.updateStage1Scores(v)
 }
 
-// absorbPrefix is the capacity-hit absorption path: scan v's full CSR row in
-// order, assigning alive member edges until the capacity stops the round, so
-// a partial absorption assigns exactly the same edge prefix it always has.
-// On the partial outcome v is not recorded as a member, and its remaining
-// member edges stay alive for later rounds. (With exact cin the capacity
-// always interrupts this path; the full outcome is kept for parity with the
-// historical loop.)
+// absorbPrefix is the capacity-hit absorption path. It assigns exactly the
+// edge prefix a walk of v's CSR row in order would: the first room alive
+// member edges, where room is the capacity left. CSR rows are sorted by
+// neighbour id, so that prefix is the alive member edges whose neighbour id
+// is at most the room-th one's, and one pass over the alive row retires
+// them. On the partial outcome v is not recorded as a member, and its
+// remaining member edges stay alive for later rounds. (With exact cin the
+// capacity always interrupts this path; the full outcome is kept for parity
+// with the historical loop.)
 func (st *runState) absorbPrefix(v graph.Vertex, k, capC int) (assigned int, full bool) {
 	g := st.g
-	nbrs := g.Neighbors(v)
 	eids := g.IncidentEdges(v)
-	partial := false
-	w := st.kernelWatch()
-	for i, u := range nbrs {
-		eid := eids[i]
-		if st.a.IsAssigned(eid) || !st.isMember(u) {
+	room := capC - int(st.ein)
+	limit := graph.Vertex(-1)
+	full = true
+	for i, u := range g.Neighbors(v) {
+		if st.a.IsAssigned(eids[i]) || !st.isMember(u) {
 			continue
 		}
-		if int(st.ein) >= capC {
-			partial = true
+		if room == 0 {
+			full = false
 			break
 		}
-		st.a.Assign(eid, k)
-		st.ein++
-		st.eout--
-		st.aliveDeg[v]--
-		st.aliveDeg[u]--
-		st.killEdge(eid)
-		assigned++
+		room--
+		limit = u
 	}
-	st.tCompact += w.lap()
-	if partial {
-		return assigned, false
+	if limit >= 0 {
+		assigned = st.assignMemberEdges(v, k, limit)
 	}
-	st.finishAbsorb(v)
-	return assigned, true
+	if full {
+		st.finishAbsorb(v)
+	}
+	return assigned, full
 }
 
 // sweepLeftovers assigns every remaining edge to the least-loaded partition;

@@ -135,6 +135,19 @@ func TestTLPRejectsBadInput(t *testing.T) {
 	if _, err := New(Options{CapacitySlack: 0.5}); err == nil {
 		t.Fatal("slack < 1 accepted")
 	}
+	for _, slack := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := New(Options{CapacitySlack: slack}); err == nil {
+			t.Fatalf("slack %v accepted", slack)
+		}
+		if _, err := NewTLPR(0.5, Options{CapacitySlack: slack}); err == nil {
+			t.Fatalf("TLP_R slack %v accepted", slack)
+		}
+	}
+	for _, frac := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.1, 1} {
+		if _, err := NewOverlapProbe(g, frac, 1); err == nil {
+			t.Fatalf("probe dead fraction %v accepted", frac)
+		}
+	}
 }
 
 func TestTLPDisconnectedReseeds(t *testing.T) {
