@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/graphpart/graphpart/internal/graph"
+	"github.com/graphpart/graphpart/internal/invariants"
 	"github.com/graphpart/graphpart/internal/partition"
 	"github.com/graphpart/graphpart/internal/rng"
 )
@@ -55,5 +56,32 @@ func TestHotPathAllocs_Superstep(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, superstep); allocs != 0 {
 		t.Fatalf("superstep allocates %.1f times per step", allocs)
+	}
+}
+
+// TestNewAllocsPerMachine: New allocates a fixed set of arrays per machine
+// plus a few build-wide tables, so its allocation count does not grow with
+// the graph. Two graphs 8x apart at the same p must allocate alike.
+func TestNewAllocsPerMachine(t *testing.T) {
+	if invariants.Enabled {
+		t.Skip("sanitizer builds run per-edge checks in partition.Validate and New")
+	}
+	const p = 4
+	allocs := func(n int) float64 {
+		g := testGraph(13, n, 3*n)
+		a := partition.MustNew(g.NumEdges(), p)
+		for id := 0; id < g.NumEdges(); id++ {
+			a.Assign(graph.EdgeID(id), id%p)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := New(g, a); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(500), allocs(8*500)
+	t.Logf("New allocations: %.0f at n=500, %.0f at n=4000 (p=%d)", small, large, p)
+	if large > small+2 {
+		t.Fatalf("New allocates %.0f times at n=4000 but %.0f at n=500", large, small)
 	}
 }

@@ -21,9 +21,11 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"github.com/graphpart/graphpart/internal/graph"
+	"github.com/graphpart/graphpart/internal/invariants"
 	"github.com/graphpart/graphpart/internal/obs"
 	"github.com/graphpart/graphpart/internal/partition"
 )
@@ -89,184 +91,134 @@ type Engine struct {
 	p int
 	// machines[k] is partition k's share-nothing runtime.
 	machines []*machine
-	// masterOf[v] is the machine owning v's master replica (the partition
-	// with the most incident edges, ties to the lowest id), or -1 for
-	// isolated vertices.
-	masterOf []int32
 	stats    Stats
 }
+
+// replica is one (vertex, partition) placement: the machine and the
+// vertex's local id on it.
+type replica struct{ k, lid int32 }
 
 // New builds an engine from a complete edge partitioning of g. Capacity
 // validation is skipped — the runtime executes whatever a partitioner
 // produced, balanced or not — but the assignment must cover every edge.
+//
+// Two passes over g's sorted CSR build every machine, with no maps and no
+// searches. Pass 1 records each vertex's replicas in machine order, gives
+// each the next local id on its machine (so local ids ascend with global
+// id) and elects the master: the replica with the most incident edges,
+// ties to the lowest machine id. Pass 2 walks the rows again and appends
+// arc j of v to v's row on machine PartitionOf(e) as canonical slot j, so
+// every local row comes out in slot order; a neighbour's local id comes
+// from its replica list of at most p entries.
 func New(g *graph.Graph, a *partition.Assignment) (*Engine, error) {
 	if err := partition.Validate(g, a, partition.ValidateOptions{SkipCapacity: true}); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	p := a.P()
-	n := g.NumVertices()
-	e := &Engine{
-		g:        g,
-		p:        p,
-		machines: make([]*machine, p),
-		masterOf: make([]int32, n),
+	if 4*int64(g.NumEdges()) > math.MaxInt32 { // a machine's acc holds up to 4|E| entries
+		return nil, fmt.Errorf("engine: %d edges overflow the int32 accumulator index", g.NumEdges())
 	}
-	for k := range e.machines {
-		e.machines[k] = &machine{id: k}
-	}
-	// Single pass over the edge list builds every machine's local vertex
-	// table and local adjacency (global ids plus local indices).
-	lidx := make([]map[graph.Vertex]int32, p)
-	for k := range lidx {
-		lidx[k] = make(map[graph.Vertex]int32)
-	}
-	intern := func(k int, v graph.Vertex) int32 {
-		if i, ok := lidx[k][v]; ok {
-			return i
-		}
-		m := e.machines[k]
-		i := int32(len(m.verts))
-		lidx[k][v] = i
-		m.verts = append(m.verts, v)
-		m.adjNbr = append(m.adjNbr, nil)
-		m.adjLocal = append(m.adjLocal, nil)
-		return i
-	}
-	for id, ed := range g.Edges() {
-		k, _ := a.PartitionOf(graph.EdgeID(id))
-		iu := intern(k, ed.U)
-		iv := intern(k, ed.V)
-		m := e.machines[k]
-		m.adjNbr[iu] = append(m.adjNbr[iu], ed.V)
-		m.adjLocal[iu] = append(m.adjLocal[iu], iv)
-		m.adjNbr[iv] = append(m.adjNbr[iv], ed.U)
-		m.adjLocal[iv] = append(m.adjLocal[iv], iu)
-	}
-	// Master election from local incidence: the partition with the most
-	// incident edges wins, ties to the lowest machine id.
-	for v := range e.masterOf {
-		e.masterOf[v] = -1
-	}
-	bestInc := make([]int32, n)
-	for k, m := range e.machines {
-		for i, v := range m.verts {
-			if c := int32(len(m.adjNbr[i])); c > bestInc[v] {
-				bestInc[v], e.masterOf[v] = c, int32(k)
-			}
-		}
-	}
-	// Per-machine static tables: sorted local adjacency, canonical slots,
-	// degrees and master routing.
-	for k, m := range e.machines {
-		nl := len(m.verts)
-		m.adjSlot = make([][]int32, nl)
-		m.degree = make([]int32, nl)
-		m.isMaster = make([]bool, nl)
-		m.masterMachine = make([]int32, nl)
-		m.masterLidx = make([]int32, nl)
-		m.mirrorMachine = make([][]int32, nl)
-		m.mirrorLidx = make([][]int32, nl)
-		for i, v := range m.verts {
-			sortAdjPair(m.adjNbr[i], m.adjLocal[i])
-			nbrs := g.Neighbors(v)
-			slots := make([]int32, len(m.adjNbr[i]))
-			for j, u := range m.adjNbr[i] {
-				slots[j] = int32(sort.Search(len(nbrs), func(x int) bool { return nbrs[x] >= u }))
-			}
-			m.adjSlot[i] = slots
-			m.degree[i] = int32(len(nbrs))
-			mk := e.masterOf[v]
-			m.isMaster[i] = mk == int32(k)
-			m.masterMachine[i] = mk
-		}
-	}
-	// Cross-machine routing: each replica learns its master's local index,
-	// and each master collects its mirrors sorted by machine id.
-	for k, m := range e.machines {
-		for i, v := range m.verts {
-			mk := int(m.masterMachine[i])
-			mi := lidx[mk][v]
-			m.masterLidx[i] = mi
-			if mk != k {
-				mm := e.machines[mk]
-				mm.mirrorMachine[mi] = append(mm.mirrorMachine[mi], int32(k))
-				mm.mirrorLidx[mi] = append(mm.mirrorLidx[mi], int32(i))
-			}
-		}
-	}
-	// Per-run buffers: replica state, master accumulators and the reusable
-	// messages (slots are static, so flushes are built once).
-	for _, m := range e.machines {
-		nl := len(m.verts)
-		m.value = make([]float64, nl)
-		m.active = make([]bool, nl)
-		m.nextActive = make([]bool, nl)
-		m.changed = make([]bool, nl)
-		m.bcastActive = make([]bool, nl)
-		m.acc = make([][]float64, nl)
-		m.flush = make([]*GatherFlush, nl)
-		m.bcast = make([][]*ApplyBroadcast, nl)
-		m.notice = make([]*Activate, nl)
-		m.fan = make([][]*Activate, nl)
-		for i := range m.verts {
-			if m.isMaster[i] {
-				m.acc[i] = make([]float64, m.degree[i])
-				bs := make([]*ApplyBroadcast, len(m.mirrorMachine[i]))
-				fs := make([]*Activate, len(m.mirrorMachine[i]))
-				for mi := range bs {
-					bs[mi] = &ApplyBroadcast{MirrorLocal: m.mirrorLidx[i][mi]}
-					fs[mi] = &Activate{Local: m.mirrorLidx[i][mi]}
-				}
-				m.bcast[i] = bs
-				m.fan[i] = fs
-			} else {
-				m.flush[i] = &GatherFlush{
-					MasterLocal: m.masterLidx[i],
-					Slots:       m.adjSlot[i],
-					Contribs:    make([]float64, len(m.adjSlot[i])),
-				}
-				m.notice[i] = &Activate{Local: m.masterLidx[i]}
-			}
-		}
-		e.stats.TotalReplicas += nl
-	}
+	p, n := a.P(), g.NumVertices()
+	e := &Engine{g: g, p: p, machines: make([]*machine, p)}
+	// Pass 1: reps[repOff[v]:repOff[v+1]] are v's replicas. A vertex has at
+	// most min(degree, p), which sizes reps up front.
+	bound := 0
 	for v := 0; v < n; v++ {
-		if e.masterOf[v] >= 0 {
-			e.stats.Masters++
+		bound += min(g.Degree(graph.Vertex(v)), p)
+	}
+	reps := make([]replica, 0, bound)
+	repOff := make([]int32, n+1)
+	masterOf := make([]int32, n)
+	inc, touched := make([]int32, p), make([]int32, 0, p)
+	// Per-machine sizes: replicas, arcs, accumulator entries (a master's
+	// degree, a mirror's local arcs) and mirror-list entries.
+	nVerts, nArcs, nAcc, nMir := make([]int32, p), make([]int32, p), make([]int32, p), make([]int32, p)
+	for v := 0; v < n; v++ {
+		touched = touched[:0]
+		for _, id := range g.IncidentEdges(graph.Vertex(v)) {
+			k, _ := a.PartitionOf(id)
+			if inc[k] == 0 {
+				touched = append(touched, int32(k))
+			}
+			inc[k]++
 		}
+		slices.Sort(touched)
+		mk, best := int32(-1), int32(0)
+		for _, k := range touched {
+			c := inc[k]
+			inc[k] = 0
+			reps = append(reps, replica{k, nVerts[k]})
+			nVerts[k]++
+			nArcs[k] += c
+			nAcc[k] += c
+			if c > best {
+				mk, best = k, c
+			}
+		}
+		masterOf[v] = mk
+		repOff[v+1] = int32(len(reps))
+		if mk >= 0 {
+			e.stats.Masters++
+			nAcc[mk] += int32(g.Degree(graph.Vertex(v))) - best
+			nMir[mk] += int32(len(touched)) - 1
+		}
+	}
+	e.stats.TotalReplicas = len(reps)
+	for k := range e.machines {
+		e.machines[k] = newMachine(k, nVerts[k], nArcs[k], nAcc[k], nMir[k])
+	}
+	// Pass 2, vertex by vertex in local-id order on every machine: rows,
+	// accumulator ranges, mirror lists and the reusable messages. Each
+	// replica's offsets close as its vertex is done, and nArcs[k] becomes
+	// machine k's arc cursor.
+	clear(nArcs)
+	for v := 0; v < n; v++ {
+		gv := graph.Vertex(v)
+		rv := reps[repOff[v]:repOff[v+1]]
+		deg, mk, mlid := int32(g.Degree(gv)), masterOf[v], int32(0)
+		for _, r := range rv {
+			m := e.machines[r.k]
+			m.verts[r.lid], m.degree[r.lid], m.masterMachine[r.lid] = gv, deg, mk
+			if r.k == mk {
+				mlid = r.lid
+			}
+		}
+		nbrs := g.Neighbors(gv)
+		for j, id := range g.IncidentEdges(gv) {
+			k, _ := a.PartitionOf(id)
+			m, x, u := e.machines[k], nArcs[k], nbrs[j]
+			nArcs[k]++
+			m.nbr[x], m.slot[x] = u, int32(j)
+			for _, r := range reps[repOff[u]:repOff[u+1]] {
+				if r.k == int32(k) {
+					m.loc[x] = r.lid
+					break
+				}
+			}
+		}
+		for _, r := range rv {
+			m, i := e.machines[r.k], r.lid
+			lo, hi, x, y := m.off[i], nArcs[r.k], m.accOff[i], m.mirOff[i]
+			if r.k != mk {
+				m.flush[i] = GatherFlush{MasterLocal: mlid, Slots: m.slot[lo:hi:hi], Contribs: m.acc[x : x+hi-lo : x+hi-lo]}
+				m.notice[i].Local = mlid
+				x += hi - lo
+			} else {
+				x += deg
+				for _, o := range rv {
+					if o.k != mk {
+						m.mirMach[y], m.bcast[y].MirrorLocal, m.fan[y].Local = o.k, o.lid, o.lid
+						y++
+					}
+				}
+			}
+			m.off[i+1], m.accOff[i+1], m.mirOff[i+1] = hi, x, y
+		}
+	}
+	if invariants.Enabled {
+		err := e.machinesStructureOK(a)
+		invariants.Assertf(err == nil, "engine.New: %v", err)
 	}
 	return e, nil
-}
-
-// sortAdjPair sorts a local adjacency (global neighbour ids with parallel
-// local indices) by global id. Neighbour ids within a vertex are unique, so
-// the order is total.
-func sortAdjPair(nbrs []graph.Vertex, locals []int32) {
-	if len(nbrs) < 24 {
-		for i := 1; i < len(nbrs); i++ {
-			n, l := nbrs[i], locals[i]
-			j := i - 1
-			for j >= 0 && nbrs[j] > n {
-				nbrs[j+1], locals[j+1] = nbrs[j], locals[j]
-				j--
-			}
-			nbrs[j+1], locals[j+1] = n, l
-		}
-		return
-	}
-	sort.Sort(&adjPairSorter{nbrs, locals})
-}
-
-type adjPairSorter struct {
-	nbrs   []graph.Vertex
-	locals []int32
-}
-
-func (s *adjPairSorter) Len() int           { return len(s.nbrs) }
-func (s *adjPairSorter) Less(i, j int) bool { return s.nbrs[i] < s.nbrs[j] }
-func (s *adjPairSorter) Swap(i, j int) {
-	s.nbrs[i], s.nbrs[j] = s.nbrs[j], s.nbrs[i]
-	s.locals[i], s.locals[j] = s.locals[j], s.locals[i]
 }
 
 // ReplicationFactor returns total replicas over active vertices — the
@@ -299,6 +251,9 @@ func (e *Engine) RunWith(prog Program, maxSupersteps int, tr Transport) ([]float
 	}
 	if tr == nil {
 		tr = NewMemTransport(e.p)
+	}
+	if err := e.checkTransport(tr); err != nil {
+		return nil, Stats{}, err
 	}
 	stats := e.stats
 	activeMasters := 0
@@ -353,12 +308,8 @@ func (e *Engine) RunWith(prog Program, maxSupersteps int, tr Transport) ([]float
 			obs.Int64("bytes", delta.Bytes()),
 			obs.Int("active_masters", activeMasters))
 	}
-	stats.GatherMessages = prev.GatherMessages
-	stats.ApplyMessages = prev.ApplyMessages
-	stats.ActivateMessages = prev.ActivateMessages
-	stats.GatherBytes = prev.GatherBytes
-	stats.ApplyBytes = prev.ApplyBytes
-	stats.ActivateBytes = prev.ActivateBytes
+	stats.GatherMessages, stats.ApplyMessages, stats.ActivateMessages = prev.GatherMessages, prev.ApplyMessages, prev.ActivateMessages
+	stats.GatherBytes, stats.ApplyBytes, stats.ActivateBytes = prev.GatherBytes, prev.ApplyBytes, prev.ActivateBytes
 	stats.Links = tr.Traffic()
 	assertTrafficConsistent(stats)
 	recordRunMetrics(&stats)
@@ -374,12 +325,22 @@ func (e *Engine) RunWith(prog Program, maxSupersteps int, tr Transport) ([]float
 	}
 	for _, m := range e.machines {
 		for i, v := range m.verts {
-			if m.isMaster[i] {
+			if m.isMaster(i) {
 				values[v] = m.value[i]
 			}
 		}
 	}
 	return values, stats, nil
+}
+
+// checkTransport rejects a transport sized for a different machine count,
+// which would otherwise fail inside a machine goroutine where nothing can
+// recover the panic.
+func (e *Engine) checkTransport(tr Transport) error {
+	if tp := tr.Traffic().P(); tp != e.p {
+		return fmt.Errorf("engine: transport is sized for %d machines, engine has %d", tp, e.p)
+	}
+	return nil
 }
 
 // RunSequential executes prog on g as one plain sequential loop — no

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/graphpart/graphpart/internal/core"
@@ -50,7 +51,7 @@ func TestRunRejectsBadArgs(t *testing.T) {
 	if _, _, err := e.Run(nil, 5); err == nil {
 		t.Fatal("nil program accepted")
 	}
-	if _, _, err := e.Run(&DegreeCount{}, 0); err == nil {
+	if _, _, err := e.Run(&degreeCount{}, 0); err == nil {
 		t.Fatal("zero supersteps accepted")
 	}
 }
@@ -61,7 +62,7 @@ func TestDegreeCountExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	values, _, err := e.Run(&DegreeCount{}, 3)
+	values, _, err := e.Run(&degreeCount{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestPageRankMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := ReferencePageRank(g, 0.85, stats.Supersteps)
+		ref := referencePageRank(g, 0.85, stats.Supersteps)
 		for v := 0; v < g.NumVertices(); v++ {
 			if math.Abs(values[v]-ref[v]) > 1e-6 {
 				t.Fatalf("p=%d vertex %d: engine %v, reference %v", p, v, values[v], ref[v])
@@ -123,7 +124,7 @@ func TestSSSPMatchesBFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := ReferenceSSSP(g, src)
+	ref := referenceSSSP(g, src)
 	for v := 0; v < g.NumVertices(); v++ {
 		if values[v] != ref[v] && !(math.IsInf(values[v], 1) && math.IsInf(ref[v], 1)) {
 			t.Fatalf("vertex %d: engine %v, BFS %v", v, values[v], ref[v])
@@ -166,11 +167,11 @@ func TestConvergenceStopsEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := e.Run(&DegreeCount{}, 100)
+	_, stats, err := e.Run(&degreeCount{}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// DegreeCount stabilises after two supersteps (set, then confirm).
+	// degreeCount stabilises after two supersteps (set, then confirm).
 	if stats.Supersteps > 3 {
 		t.Fatalf("degree count ran %d supersteps", stats.Supersteps)
 	}
@@ -278,5 +279,79 @@ func BenchmarkEnginePageRank(b *testing.B) {
 		if _, _, err := e.Run(prog, 10); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestMasterElectionTies hand-builds an assignment whose vertices tie on
+// local incidence: the master is the replica with the most local edges,
+// ties to the lowest machine id. The structure check must accept the build
+// and reject a broken election or a row out of slot order.
+func TestMasterElectionTies(t *testing.T) {
+	g := graph.MustFromEdges(7, []graph.Edge{
+		{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 0, V: 4}, {U: 0, V: 5}, {U: 5, V: 6},
+	})
+	a := partition.MustNew(g.NumEdges(), 3)
+	for _, x := range []struct {
+		u, v graph.Vertex
+		k    int
+	}{{0, 1, 2}, {0, 2, 2}, {0, 3, 1}, {0, 4, 1}, {0, 5, 0}, {5, 6, 2}} {
+		id, _ := g.FindEdge(x.u, x.v)
+		a.Assign(id, x.k)
+	}
+	e, err := New(g, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.machinesStructureOK(a); err != nil {
+		t.Fatal(err)
+	}
+	if e.stats.TotalReplicas != 10 || e.stats.Masters != 7 {
+		t.Fatalf("replicas %d masters %d, want 10 and 7", e.stats.TotalReplicas, e.stats.Masters)
+	}
+	// Vertex 0 has 1/2/2 edges on machines 0/1/2, vertex 5 has 1/0/1.
+	for v, want := range map[graph.Vertex]int32{0: 1, 5: 0, 6: 2} {
+		for k, m := range e.machines {
+			if i, ok := slices.BinarySearch(m.verts, v); ok && m.masterMachine[i] != want {
+				t.Fatalf("vertex %d on machine %d: master %d, want %d", v, k, m.masterMachine[i], want)
+			}
+		}
+	}
+	m := e.machines[2] // holds vertex 0's arcs to 1 and 2, slots 0 and 1
+	m.slot[m.off[0]], m.slot[m.off[0]+1] = m.slot[m.off[0]+1], m.slot[m.off[0]]
+	if e.machinesStructureOK(a) == nil {
+		t.Fatal("row out of slot order accepted")
+	}
+	m.slot[m.off[0]], m.slot[m.off[0]+1] = m.slot[m.off[0]+1], m.slot[m.off[0]]
+	for _, m := range e.machines {
+		if i, ok := slices.BinarySearch(m.verts, 0); ok {
+			m.masterMachine[i] = 2
+		}
+	}
+	if e.machinesStructureOK(a) == nil {
+		t.Fatal("tie broken to the higher machine id accepted")
+	}
+}
+
+// TestTransportSizeMismatch: a transport built for a different machine
+// count is rejected before any machine goroutine could index past it, on
+// both the in-process and the hosted path.
+func TestTransportSizeMismatch(t *testing.T) {
+	g := testGraph(12, 60, 120)
+	e, err := New(g, partitioned(t, g, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.RunWith(&degreeCount{}, 5, NewMemTransport(2)); err == nil {
+		t.Fatal("RunWith accepted a 2-machine transport on a 3-machine engine")
+	}
+	h, err := e.Host(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Reset(&degreeCount{}, NewMemTransport(4)); err == nil {
+		t.Fatal("Reset accepted a 4-machine transport on a 3-machine engine")
+	}
+	if _, _, err := e.RunWith(&degreeCount{}, 5, NewMemTransport(3)); err != nil {
+		t.Fatalf("matching transport rejected: %v", err)
 	}
 }

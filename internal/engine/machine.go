@@ -39,29 +39,41 @@ type machine struct {
 	tr   Transport
 	prog Program
 
-	// Immutable local topology, built once in New.
+	// Immutable local topology, built once in New. Local ids ascend with
+	// global id, and every per-replica array is indexed by local id.
 
-	// verts maps local index -> global vertex id.
+	// verts maps local id -> global vertex id.
 	verts []graph.Vertex
-	// adjNbr[i] lists the global neighbour ids of verts[i] over the edges
-	// of this partition, sorted ascending.
-	adjNbr [][]graph.Vertex
-	// adjLocal[i][j] is the local index of adjNbr[i][j].
-	adjLocal [][]int32
-	// adjSlot[i][j] is the canonical slot of arc (verts[i], adjNbr[i][j]):
-	// its index in the vertex's globally sorted neighbour list.
-	adjSlot [][]int32
 	// degree[i] is the global degree of verts[i].
 	degree []int32
-	// isMaster[i] reports whether this machine masters verts[i].
-	isMaster []bool
-	// masterMachine[i] / masterLidx[i] locate the master replica.
+	// masterMachine[i] is the machine holding verts[i]'s master replica.
 	masterMachine []int32
-	masterLidx    []int32
-	// mirrorMachine[i] / mirrorLidx[i] locate the mirrors of a mastered
-	// vertex, sorted by machine id (nil for non-masters).
-	mirrorMachine [][]int32
-	mirrorLidx    [][]int32
+	// off indexes the local arcs: verts[i]'s arcs on this partition are
+	// nbr/loc/slot[off[i]:off[i+1]], in ascending canonical slot order. nbr
+	// holds the neighbour's global id, loc its local id and slot the arc's
+	// index in the vertex's globally sorted neighbour list.
+	off  []int32
+	nbr  []graph.Vertex
+	loc  []int32
+	slot []int32
+	// accOff indexes acc. A master's range (degree entries) is its dense
+	// accumulator by canonical slot, reused every superstep; a mirror's
+	// range (one entry per local arc) is the Contribs of its flush.
+	accOff []int32
+	acc    []float64
+	// mirOff indexes a master's mirrors (an empty range for non-masters):
+	// their machines in mirMach, sorted, and one reusable broadcast and
+	// activation fan-out each in bcast and fan.
+	mirOff  []int32
+	mirMach []int32
+	bcast   []ApplyBroadcast
+	fan     []Activate
+	// flush[i] and notice[i] are a mirror's reusable gather flush (Slots
+	// and Contribs alias slot and acc) and escalation notice, addressed to
+	// the master's local id. Like bcast and fan they are resent every
+	// superstep: Contribs and broadcast values are refilled before sending.
+	flush  []GatherFlush
+	notice []Activate
 
 	// Mutable per-run state, owned exclusively by this machine's goroutine
 	// while a run is in flight.
@@ -77,22 +89,6 @@ type machine struct {
 	// bcastActive[i]: for masters, the activation flag already broadcast
 	// this superstep; a vertex reactivated beyond it needs a fan-out.
 	bcastActive []bool
-	// acc[i] is the master-side dense accumulator for verts[i], indexed by
-	// canonical slot; reused every superstep (nil for non-masters).
-	acc [][]float64
-	// flush[i] is the reusable mirror->master flush for verts[i] (nil for
-	// masters). Slots alias adjSlot; Contribs are refilled each superstep.
-	flush []*GatherFlush
-	// bcast[i] holds one reusable broadcast per mirror of a mastered vertex.
-	bcast [][]*ApplyBroadcast
-	// notice[i] is the reusable escalation notice for verts[i], addressed to
-	// the master replica's local index (nil for locally-mastered vertices);
-	// fan[i] holds one reusable activation fan-out per mirror of a mastered
-	// vertex. Activate carries nothing but the immutable Local index, so
-	// resending the same message every superstep is safe — the same reuse
-	// contract flush and bcast rely on.
-	notice []*Activate
-	fan    [][]*Activate
 	// activeMasters is the post-finalize count of active mastered vertices;
 	// the coordinator reads it between supersteps to decide termination.
 	activeMasters int
@@ -101,6 +97,24 @@ type machine struct {
 	// superstep boundary.
 	drained int64
 }
+
+// newMachine allocates machine id's arrays for the given replica, arc,
+// accumulator and mirror-list sizes; New fills them.
+func newMachine(id int, verts, arcs, acc, mirrors int32) *machine {
+	return &machine{id: id,
+		verts: make([]graph.Vertex, verts), degree: make([]int32, verts), masterMachine: make([]int32, verts),
+		off: make([]int32, verts+1), accOff: make([]int32, verts+1), mirOff: make([]int32, verts+1),
+		nbr: make([]graph.Vertex, arcs), loc: make([]int32, arcs), slot: make([]int32, arcs),
+		acc:     make([]float64, acc),
+		mirMach: make([]int32, mirrors), bcast: make([]ApplyBroadcast, mirrors), fan: make([]Activate, mirrors),
+		flush: make([]GatherFlush, verts), notice: make([]Activate, verts), value: make([]float64, verts),
+		active: make([]bool, verts), nextActive: make([]bool, verts),
+		changed: make([]bool, verts), bcastActive: make([]bool, verts),
+	}
+}
+
+// isMaster reports whether this machine masters verts[i].
+func (m *machine) isMaster(i int) bool { return m.masterMachine[i] == int32(m.id) }
 
 // loop runs phases as they are commanded until cmds closes. One goroutine
 // per machine executes it for the duration of a run.
@@ -126,23 +140,17 @@ func (m *machine) step(ph int) {
 	}
 }
 
-// reset prepares the machine for a fresh run of prog over tr.
+// reset prepares the machine for a fresh run of prog over tr. Every
+// replica has at least one local edge, so every replicated vertex starts
+// active — the same initial frontier as the sequential reference
+// (degree > 0).
 func (m *machine) reset(prog Program, tr Transport) {
 	m.prog, m.tr = prog, tr
-	m.activeMasters = 0
 	for i, v := range m.verts {
 		m.value[i] = prog.Init(v, int(m.degree[i]))
-		// Every replica has at least one local edge, so every replicated
-		// vertex starts active — the same initial frontier as the
-		// sequential reference (degree > 0).
-		m.active[i] = true
-		m.nextActive[i] = false
-		m.changed[i] = false
-		m.bcastActive[i] = false
-		if m.isMaster[i] {
-			m.activeMasters++
-		}
+		m.nextActive[i] = true
 	}
+	m.promote()
 }
 
 // gather computes this machine's per-arc contributions for every active
@@ -151,23 +159,25 @@ func (m *machine) reset(prog Program, tr Transport) {
 //
 //graphpart:hotpath test=TestHotPathAllocs_Superstep
 func (m *machine) gather() {
-	for i := range m.verts {
+	prog, value, degree := m.prog, m.value, m.degree
+	for i, v := range m.verts {
 		if !m.active[i] {
 			continue
 		}
-		v := m.verts[i]
-		nbrs, locals, slots := m.adjNbr[i], m.adjLocal[i], m.adjSlot[i]
-		if m.isMaster[i] {
-			acc := m.acc[i]
+		lo, hi := m.off[i], m.off[i+1]
+		nbrs, locs := m.nbr[lo:hi], m.loc[lo:hi]
+		if m.isMaster(i) {
+			acc, slots := m.acc[m.accOff[i]:m.accOff[i+1]], m.slot[lo:hi]
 			for j, u := range nbrs {
-				l := locals[j]
-				acc[slots[j]] = m.prog.Gather(v, u, m.value[l], int(m.degree[l]))
+				l := locs[j]
+				acc[slots[j]] = prog.Gather(v, u, value[l], int(degree[l]))
 			}
 		} else {
-			f := m.flush[i]
+			f := &m.flush[i]
+			contribs := f.Contribs[:len(nbrs)]
 			for j, u := range nbrs {
-				l := locals[j]
-				f.Contribs[j] = m.prog.Gather(v, u, m.value[l], int(m.degree[l]))
+				l := locs[j]
+				contribs[j] = prog.Gather(v, u, value[l], int(degree[l]))
 			}
 			m.tr.Send(m.id, int(m.masterMachine[i]), f)
 		}
@@ -183,32 +193,32 @@ func (m *machine) gather() {
 func (m *machine) apply() {
 	for _, msg := range m.drainInbox() {
 		f := msg.(*GatherFlush)
-		acc := m.acc[f.MasterLocal]
+		acc, contribs := m.acc[m.accOff[f.MasterLocal]:], f.Contribs[:len(f.Slots)]
 		for j, s := range f.Slots {
-			acc[s] = f.Contribs[j]
+			acc[s] = contribs[j]
 		}
 	}
-	for i := range m.verts {
-		if !m.active[i] || !m.isMaster[i] {
+	prog := m.prog
+	for i, v := range m.verts {
+		if !m.active[i] || !m.isMaster(i) {
 			continue
 		}
-		v := m.verts[i]
-		acc := m.acc[i]
+		acc := m.acc[m.accOff[i]:m.accOff[i+1]]
 		sum := acc[0]
 		for _, c := range acc[1:] {
-			sum = m.prog.Sum(sum, c)
+			sum = prog.Sum(sum, c)
 		}
 		old := m.value[i]
-		nv := m.prog.Apply(v, old, sum, int(m.degree[i]))
-		conv := m.prog.Converged(old, nv)
+		nv := prog.Apply(v, old, sum, int(m.degree[i]))
+		conv := prog.Converged(old, nv)
 		m.value[i] = nv
 		m.changed[i] = !conv
 		m.bcastActive[i] = !conv
 		m.nextActive[i] = !conv
-		for mi, mm := range m.mirrorMachine[i] {
-			b := m.bcast[i][mi]
+		for x := m.mirOff[i]; x < m.mirOff[i+1]; x++ {
+			b := &m.bcast[x]
 			b.Value, b.Changed, b.Active = nv, !conv, !conv
-			m.tr.Send(m.id, int(mm), b)
+			m.tr.Send(m.id, int(m.mirMach[x]), b)
 		}
 	}
 }
@@ -230,17 +240,17 @@ func (m *machine) scatter() {
 			m.nextActive[i] = true
 		}
 	}
-	for i := range m.verts {
-		if !m.changed[i] {
+	for i, ch := range m.changed {
+		if !ch {
 			continue
 		}
-		for _, w := range m.adjLocal[i] {
+		for _, w := range m.loc[m.off[i]:m.off[i+1]] {
 			if m.nextActive[w] {
 				continue
 			}
 			m.nextActive[w] = true
 			if mk := m.masterMachine[w]; int(mk) != m.id {
-				m.tr.Send(m.id, int(mk), m.notice[w])
+				m.tr.Send(m.id, int(mk), &m.notice[w])
 			}
 		}
 	}
@@ -255,32 +265,38 @@ func (m *machine) activate() {
 	for _, msg := range m.drainInbox() {
 		m.nextActive[msg.(*Activate).Local] = true
 	}
-	for i := range m.verts {
-		if !m.isMaster[i] || !m.nextActive[i] || m.bcastActive[i] {
+	for i, next := range m.nextActive {
+		if !next || m.bcastActive[i] || !m.isMaster(i) {
 			continue
 		}
-		for mi, mm := range m.mirrorMachine[i] {
-			m.tr.Send(m.id, int(mm), m.fan[i][mi])
+		for x := m.mirOff[i]; x < m.mirOff[i+1]; x++ {
+			m.tr.Send(m.id, int(m.mirMach[x]), &m.fan[x])
 		}
 	}
 }
 
-// finalize drains activation fan-outs, promotes nextActive to active,
-// clears the per-superstep flags and counts the active masters the
-// coordinator uses for the termination check.
+// finalize drains activation fan-outs and promotes the next superstep's
+// activation.
 //
 //graphpart:hotpath test=TestHotPathAllocs_Superstep
 func (m *machine) finalize() {
 	for _, msg := range m.drainInbox() {
 		m.nextActive[msg.(*Activate).Local] = true
 	}
+	m.promote()
+}
+
+// promote makes nextActive the current activation, clears the
+// per-superstep flags and counts the active masters the coordinator uses
+// for the termination check.
+func (m *machine) promote() {
+	copy(m.active, m.nextActive)
+	clear(m.nextActive)
+	clear(m.changed)
+	clear(m.bcastActive)
 	m.activeMasters = 0
-	for i := range m.verts {
-		m.active[i] = m.nextActive[i]
-		m.nextActive[i] = false
-		m.changed[i] = false
-		m.bcastActive[i] = false
-		if m.active[i] && m.isMaster[i] {
+	for i, a := range m.active {
+		if a && m.isMaster(i) {
 			m.activeMasters++
 		}
 	}

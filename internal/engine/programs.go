@@ -117,71 +117,3 @@ func (c *Components) Apply(_ graph.Vertex, old, gathered float64, _ int) float64
 
 // Converged implements Program.
 func (c *Components) Converged(old, new float64) bool { return old == new }
-
-// DegreeCount verifies the engine against ground truth: after one superstep
-// every vertex's value equals its degree.
-type DegreeCount struct{}
-
-// Name implements Program.
-func (d *DegreeCount) Name() string { return "degree-count" }
-
-// Init implements Program.
-func (d *DegreeCount) Init(_ graph.Vertex, _ int) float64 { return 0 }
-
-// Gather implements Program: each incident edge contributes one.
-func (d *DegreeCount) Gather(_, _ graph.Vertex, _ float64, _ int) float64 { return 1 }
-
-// Sum implements Program.
-func (d *DegreeCount) Sum(a, b float64) float64 { return a + b }
-
-// Apply implements Program.
-func (d *DegreeCount) Apply(_ graph.Vertex, _, gathered float64, _ int) float64 { return gathered }
-
-// Converged implements Program: one superstep suffices.
-func (d *DegreeCount) Converged(old, new float64) bool { return old == new }
-
-// ReferencePageRank computes PageRank single-machine for verification.
-func ReferencePageRank(g *graph.Graph, damping float64, iters int) []float64 {
-	n := g.NumVertices()
-	if damping <= 0 || damping >= 1 {
-		damping = 0.85
-	}
-	cur := make([]float64, n)
-	next := make([]float64, n)
-	for v := range cur {
-		cur[v] = 1.0 / float64(n)
-	}
-	for it := 0; it < iters; it++ {
-		for v := 0; v < n; v++ {
-			var sum float64
-			for _, u := range g.Neighbors(graph.Vertex(v)) {
-				sum += cur[u] / float64(g.Degree(u))
-			}
-			next[v] = (1-damping)/float64(n) + damping*sum
-		}
-		cur, next = next, cur
-	}
-	return cur
-}
-
-// ReferenceSSSP computes unit-weight shortest paths by BFS.
-func ReferenceSSSP(g *graph.Graph, src graph.Vertex) []float64 {
-	n := g.NumVertices()
-	dist := make([]float64, n)
-	for v := range dist {
-		dist[v] = math.Inf(1)
-	}
-	dist[src] = 0
-	queue := []graph.Vertex{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range g.Neighbors(v) {
-			if math.IsInf(dist[u], 1) {
-				dist[u] = dist[v] + 1
-				queue = append(queue, u)
-			}
-		}
-	}
-	return dist
-}

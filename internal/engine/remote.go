@@ -58,6 +58,9 @@ func (h *MachineHost) Reset(prog Program, tr Transport) (activeMasters int, err 
 	if tr == nil {
 		return 0, fmt.Errorf("engine: nil transport")
 	}
+	if err := h.e.checkTransport(tr); err != nil {
+		return 0, err
+	}
 	h.m.reset(prog, tr)
 	mHostResets.Add(1)
 	return h.m.activeMasters, nil
@@ -86,7 +89,7 @@ func (h *MachineHost) Replicas() int { return len(h.m.verts) }
 func (h *MachineHost) Masters() int {
 	n := 0
 	for i := range h.m.verts {
-		if h.m.isMaster[i] {
+		if h.m.isMaster(i) {
 			n++
 		}
 	}
@@ -99,7 +102,7 @@ func (h *MachineHost) Masters() int {
 func (h *MachineHost) MasterValues() []MasterValue {
 	out := make([]MasterValue, 0, len(h.m.verts))
 	for i, v := range h.m.verts {
-		if h.m.isMaster[i] {
+		if h.m.isMaster(i) {
 			out = append(out, MasterValue{Vertex: v, Value: h.m.value[i]})
 		}
 	}

@@ -135,6 +135,9 @@ func TestClusterStatsMatchInProcess(t *testing.T) {
 	}
 }
 
+// unregistered is a valid program whose type has no wire spec.
+type unregistered struct{ engine.Components }
+
 // TestClusterRejectsUnknownProgram checks the spec codec's closed-world
 // rule: a program outside the registered set cannot cross process
 // boundaries and fails fast, before any worker is spawned.
@@ -144,7 +147,7 @@ func TestClusterRejectsUnknownProgram(t *testing.T) {
 	if err != nil {
 		t.Fatalf("partition: %v", err)
 	}
-	_, _, err = wire.RunCluster(g, a, &engine.DegreeCount{}, 5, nil)
+	_, _, err = wire.RunCluster(g, a, &unregistered{}, 5, nil)
 	if err == nil {
 		t.Fatal("RunCluster accepted a program with no wire spec")
 	}
