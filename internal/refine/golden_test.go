@@ -8,6 +8,7 @@ import (
 	"github.com/graphpart/graphpart/internal/core"
 	"github.com/graphpart/graphpart/internal/gen"
 	"github.com/graphpart/graphpart/internal/graph"
+	"github.com/graphpart/graphpart/internal/metis"
 	"github.com/graphpart/graphpart/internal/partition"
 	"github.com/graphpart/graphpart/internal/streaming"
 )
@@ -52,6 +53,12 @@ var refineGoldenCases = []refineGoldenCase{
 	{"G2s", "hdrf", 8, 0xd807120a83c677a7},
 	{"G1s", "tlp", 4, 0x13f923b09652d427},
 	{"G3s", "tlp", 8, 0x17d80448860d2a97},
+	// Captured later from the same refiner, before its swap scoring was
+	// rewritten: METIS + DeriveBalanced is the family the metis-refine
+	// benchmark refines, and random at p=80 runs the sparse (p > 64) State.
+	{"G1s", "metis", 10, 0x0391aa38a5150e8b},
+	{"G2s", "metis", 10, 0x477a4260b53f1105},
+	{"G1s", "random", 80, 0x7e4be6fefcba41bd},
 }
 
 // refineGoldenGraph resolves a dataset notation to its deterministic graph.
@@ -71,6 +78,16 @@ func refineGoldenInput(t *testing.T, g *graph.Graph, c refineGoldenCase) *partit
 	t.Helper()
 	var pt partition.Partitioner
 	switch c.family {
+	case "metis":
+		labels, err := metis.New(metis.Config{Seed: 42}).VertexPartition(g, c.p)
+		if err != nil {
+			t.Fatalf("%s/%s/p=%d: %v", c.dataset, c.family, c.p, err)
+		}
+		a, err := metis.DeriveBalanced(g, labels, c.p)
+		if err != nil {
+			t.Fatalf("%s/%s/p=%d: %v", c.dataset, c.family, c.p, err)
+		}
+		return a
 	case "tlp":
 		pt = core.MustNew(core.Options{Seed: 42})
 	case "random":
