@@ -9,11 +9,10 @@ import (
 )
 
 // TestHotPathAllocs_RefineScoring is the cross-check named by the
-// //graphpart:hotpath annotations on scoreVacate, vacateGain and scoreSide.
-// The vacate pair works entirely in caller scratch, so steady-state calls
-// allocate nothing. scoreSide returns a fresh candidate list by contract;
-// its assertion is that the allocation count is a small constant —
-// independent of how many edges are scored — not zero.
+// //graphpart:hotpath annotations on scoreVacate, vacateGain and
+// collectSwapCandidates. The vacate pair works entirely in caller scratch
+// and the swap sweep in the runner's, so once a first sweep has sized the
+// bucket pool, steady-state calls allocate nothing.
 func TestHotPathAllocs_RefineScoring(t *testing.T) {
 	g := randomGraph(5, 200, 400)
 	const p = 8
@@ -40,9 +39,9 @@ func TestHotPathAllocs_RefineScoring(t *testing.T) {
 		t.Fatal("random assignment produced no spanned vertex")
 	}
 	parts := make([]int, 0, p)
-	others := make(map[int][]graph.Vertex, p)
+	others := make([][]graph.Vertex, p)
 	edges := make([]graph.EdgeID, 0, g.NumEdges())
-	_ = run.scoreVacate(v, parts, others) // warm the scratch map's slices
+	_ = run.scoreVacate(v, parts, others) // warm the per-partition scratch slices
 	pp := st.Partitions(v, parts)
 	from, to := pp[0], pp[1]
 	if allocs := testing.AllocsPerRun(300, func() {
@@ -52,18 +51,11 @@ func TestHotPathAllocs_RefineScoring(t *testing.T) {
 		t.Fatalf("vacate scoring allocates %.1f times per call pair", allocs)
 	}
 
-	bnd := st.AppendBoundary(nil)
-	if len(bnd) < 20 {
-		t.Fatalf("boundary too small to measure: %d edges", len(bnd))
+	if st.NumBoundary() < 20 {
+		t.Fatalf("boundary too small to measure: %d edges", st.NumBoundary())
 	}
-	measure := func(edges []graph.EdgeID) float64 {
-		return testing.AllocsPerRun(300, func() {
-			_ = scoreSide(st, edges, to)
-		})
-	}
-	aSmall, aLarge := measure(bnd[:10]), measure(bnd)
-	if aSmall != aLarge || aLarge > 2 {
-		t.Fatalf("scoreSide allocations must be a small constant: %d edges -> %.1f, %d edges -> %.1f",
-			10, aSmall, len(bnd), aLarge)
+	run.collectSwapCandidates() // warm pass: sizes the bucket pool
+	if allocs := testing.AllocsPerRun(300, run.collectSwapCandidates); allocs != 0 {
+		t.Fatalf("swap candidate sweep allocates %.1f times per warm pass", allocs)
 	}
 }

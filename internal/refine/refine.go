@@ -8,17 +8,20 @@
 // neighbourhoods run on the incremental partition.State, so every gain is an
 // O(1) count lookup and applying a move is O(1) amortized.
 //
-// Each pass scores candidates in parallel over the worker pool against the
-// phase-start state (reads only), then applies them in one sequential fold —
-// moves in ascending vertex order, swaps in ascending (i, j) partition-pair
-// order — re-evaluating every candidate's exact gain against the live state
-// at application time. Stale candidates are skipped, never mis-applied, so
-// the result is bit-identical for any worker count.
+// Each pass scores candidates against the phase-start state — moves in
+// parallel over the worker pool, swaps in one serial ascending sweep over
+// the boundary edges — then applies them in one sequential fold (moves by
+// ascending vertex, swaps by ascending (i, j) partition pair), re-evaluating
+// every exact gain against the live state. Stale candidates are skipped,
+// never mis-applied, so the result is bit-identical for any worker count.
 package refine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	mathbits "math/bits"
+	"slices"
 
 	"github.com/graphpart/graphpart/internal/graph"
 	"github.com/graphpart/graphpart/internal/invariants"
@@ -76,29 +79,24 @@ type Stats struct {
 }
 
 // Run improves the assignment in place until convergence, MaxPasses or the
-// time budget, and reports statistics. The assignment must be complete;
-// capacity is not validated on entry (refinement accepts over-capacity
-// inputs and only ever improves them).
+// time budget, and reports statistics. The assignment must be complete and
+// every option finite and non-negative; capacity is not validated on entry
+// (refinement accepts over-capacity inputs and only ever improves them).
 func Run(g *graph.Graph, a *partition.Assignment, opts Options) (Stats, error) {
 	var stats Stats
 	if g == nil {
 		return stats, fmt.Errorf("refine: nil graph")
 	}
+	// Zero means "default"; Workers follows the parallel.Workers rule.
+	if opts.Capacity < 0 || opts.MaxPasses < 0 || opts.MinGain < 0 ||
+		!(opts.MaxSeconds >= 0) || math.IsInf(opts.MaxSeconds, 1) {
+		return stats, fmt.Errorf("refine: options must be finite and non-negative: %+v", opts)
+	}
 	if err := partition.Validate(g, a, partition.ValidateOptions{SkipCapacity: true}); err != nil {
 		return stats, fmt.Errorf("refine: %w", err)
 	}
-	capC := opts.Capacity
-	if capC <= 0 {
-		capC = partition.Capacity(g.NumEdges(), a.P())
-	}
-	maxPasses := opts.MaxPasses
-	if maxPasses <= 0 {
-		maxPasses = 8
-	}
-	minGain := opts.MinGain
-	if minGain <= 0 {
-		minGain = 1
-	}
+	capC := cmp.Or(opts.Capacity, partition.Capacity(g.NumEdges(), a.P()))
+	maxPasses, minGain := cmp.Or(opts.MaxPasses, 8), cmp.Or(opts.MinGain, 1)
 	workers := parallel.Workers(opts.Workers)
 	st, err := partition.NewState(g, a)
 	if err != nil {
@@ -149,13 +147,18 @@ func Run(g *graph.Graph, a *partition.Assignment, opts Options) (Stats, error) {
 	return stats, nil
 }
 
-// runner carries one Run invocation's shared search context.
+// runner carries one Run invocation's search context and its pass scratch.
 type runner struct {
-	g       *graph.Graph
-	st      *partition.State
-	capC    int
-	minGain int
-	workers int
+	g                      *graph.Graph
+	st                     *partition.State
+	capC, minGain, workers int
+
+	open  []uint64 // open[(i*3+g)*ceil(p/64):]: targets j whose bucket (i, j, g) takes edges
+	slab  []int32  // slab[b]: bucket b's offset in pool (0 while empty)
+	fill  []uint8  // fill[b]: edges in bucket b this pass
+	pool  []graph.EdgeID
+	masks []uint64 // the two endpoint presence masks of a swept edge
+	parts []int
 }
 
 // vacate is one scored per-vertex move candidate: shift all of v's edges in
@@ -185,8 +188,8 @@ func (r *runner) movePhase() (moves, edgesMoved, gainTotal int) {
 	cands := make([]vacate, len(spanned))
 	chunks := parallel.Chunks(len(spanned), r.workers)
 	parallel.ForEach(len(chunks), r.workers, func(c int) {
-		var parts []int
-		others := make(map[int][]graph.Vertex, 4)
+		parts := make([]int, 0, st.P())
+		others := make([][]graph.Vertex, st.P())
 		for i := chunks[c][0]; i < chunks[c][1]; i++ {
 			cands[i] = r.scoreVacate(spanned[i], parts[:0], others)
 		}
@@ -222,31 +225,29 @@ func (r *runner) movePhase() (moves, edgesMoved, gainTotal int) {
 
 // scoreVacate finds v's best (from, to, gain) vacate candidate against the
 // current state: highest gain, ties to the smallest from then to. The caller
-// passes scratch buffers; `others` maps each of v's partitions to the far
-// endpoints of v's edges there and is wiped per call.
+// passes scratch buffers; `others`, indexed by partition, receives the far
+// endpoints of v's edges there (only v's own partitions are wiped and read).
 //
 //graphpart:hotpath test=TestHotPathAllocs_RefineScoring
-func (r *runner) scoreVacate(v graph.Vertex, parts []int, others map[int][]graph.Vertex) vacate {
+func (r *runner) scoreVacate(v graph.Vertex, parts []int, others [][]graph.Vertex) vacate {
 	st := r.st
 	parts = st.Partitions(v, parts)
 	for _, k := range parts {
 		others[k] = others[k][:0]
 	}
 	nbrs := r.g.Neighbors(v)
-	eids := r.g.IncidentEdges(v)
-	for i, eid := range eids {
+	for i, eid := range r.g.IncidentEdges(v) {
 		k, _ := st.Assignment().PartitionOf(eid)
 		others[k] = append(others[k], nbrs[i])
 	}
 	best := vacate{from: -1}
 	for _, from := range parts {
 		us := others[from]
-		load := len(us)
 		for _, to := range parts {
 			if to == from {
 				continue
 			}
-			if st.Assignment().Load(to)+load > r.capC {
+			if st.Assignment().Load(to)+len(us) > r.capC {
 				continue
 			}
 			gain := 1 // v always leaves `from`; `to` is already one of v's partitions
@@ -267,8 +268,9 @@ func (r *runner) scoreVacate(v graph.Vertex, parts []int, others map[int][]graph
 }
 
 // vacateGain exactly evaluates moving all of v's edges in `from` to `to`
-// against the live state, returning the replica reduction and the edge list.
-// Unlike scoreVacate it does not assume v currently occupies `to`.
+// against the live state, returning the replica reduction and the edge list
+// (empty when v has left `from`). Unlike scoreVacate it does not assume v
+// currently occupies `to`.
 //
 //graphpart:hotpath test=TestHotPathAllocs_RefineScoring
 func (r *runner) vacateGain(v graph.Vertex, from, to int, edges []graph.EdgeID) (int, []graph.EdgeID) {
@@ -291,9 +293,6 @@ func (r *runner) vacateGain(v graph.Vertex, from, to int, edges []graph.EdgeID) 
 			gain--
 		}
 	}
-	if len(edges) == 0 {
-		return 0, edges
-	}
 	return gain, edges
 }
 
@@ -303,117 +302,118 @@ type swapCand struct {
 	gain int32
 }
 
-// proposal pairs two boundary edges for exchange between partitions i and j.
-type proposal struct {
-	e1, e2 graph.EdgeID
-}
-
-// swapPhase proposes boundary-edge exchanges for every partition pair in
-// parallel — each side's candidates gain-scored against the phase-start
-// state, sorted (gain desc, edge id asc) and rank-paired — then applies them
-// in ascending pair order with exact re-evaluation: the first move of a pair
-// is applied, the second evaluated against that intermediate state, and the
-// pair reverted when the combined realized gain falls short. Swaps never
-// change a load, so capacity is preserved by construction.
+// swapPhase ranks every side's candidates in one sweep, then, in ascending
+// (i, j) pair order, rank-pairs the two sides and applies each proposal with
+// exact re-evaluation: the first move is applied, the second evaluated
+// against that intermediate state, and the pair reverted when the combined
+// realized gain falls short. Swaps never change a load.
 func (r *runner) swapPhase() (swaps, gainTotal int) {
 	st := r.st
-	snap := st.AppendBoundary(nil)
-	if len(snap) == 0 {
-		return 0, 0
-	}
-	p := st.P()
-	byPart := make([][]graph.EdgeID, p)
-	for _, e := range snap {
-		k, _ := st.Assignment().PartitionOf(e)
-		byPart[k] = append(byPart[k], e) // ascending within k: snap is sorted
-	}
-	var pairs [][2]int
-	for i := 0; i < p; i++ {
-		if len(byPart[i]) == 0 {
-			continue
-		}
-		for j := i + 1; j < p; j++ {
-			if len(byPart[j]) > 0 {
-				pairs = append(pairs, [2]int{i, j})
+	r.collectSwapCandidates()
+	ci, cj := make([]swapCand, 0, 3*maxSwapCandidates), make([]swapCand, 0, 3*maxSwapCandidates)
+	for i := 0; i < st.P(); i++ {
+		for j := i + 1; j < st.P(); j++ {
+			ci, cj = r.candidates(ci[:0], i, j), r.candidates(cj[:0], j, i)
+			for t := 0; t < len(ci) && t < len(cj); t++ {
+				if int(ci[t].gain+cj[t].gain) < r.minGain {
+					break // both lists are gain-sorted, so no later rank can reach MinGain
+				}
+				e1, e2 := ci[t].e, cj[t].e
+				k1, _ := st.Assignment().PartitionOf(e1)
+				k2, _ := st.Assignment().PartitionOf(e2)
+				if k1 != i || k2 != j {
+					continue // an earlier application already moved one side
+				}
+				g1 := -st.Move(e1, j)
+				if g1-st.MoveDelta(e2, i) < r.minGain {
+					st.Move(e1, i) // revert; exactly restores the pre-swap state
+					continue
+				}
+				swaps++
+				gainTotal += g1 - st.Move(e2, i)
 			}
-		}
-	}
-	if len(pairs) == 0 {
-		return 0, 0
-	}
-	props := parallel.Map(len(pairs), r.workers, func(pi int) []proposal {
-		i, j := pairs[pi][0], pairs[pi][1]
-		ci := scoreSide(st, byPart[i], j)
-		if len(ci) == 0 {
-			return nil
-		}
-		cj := scoreSide(st, byPart[j], i)
-		n := len(ci)
-		if len(cj) < n {
-			n = len(cj)
-		}
-		var out []proposal
-		for t := 0; t < n; t++ {
-			if int(ci[t].gain+cj[t].gain) < r.minGain {
-				break // both lists are gain-sorted, so no later rank can reach MinGain
-			}
-			out = append(out, proposal{e1: ci[t].e, e2: cj[t].e})
-		}
-		return out
-	})
-	for pi, list := range props {
-		i, j := pairs[pi][0], pairs[pi][1]
-		for _, pr := range list {
-			k1, _ := st.Assignment().PartitionOf(pr.e1)
-			k2, _ := st.Assignment().PartitionOf(pr.e2)
-			if k1 != i || k2 != j {
-				continue // a previous application already moved one side
-			}
-			g1 := -st.Move(pr.e1, j)
-			g2 := -st.MoveDelta(pr.e2, i)
-			if g1+g2 < r.minGain {
-				st.Move(pr.e1, i) // revert; exactly restores the pre-swap state
-				continue
-			}
-			g2 = -st.Move(pr.e2, i)
-			swaps++
-			gainTotal += g1 + g2
 		}
 	}
 	return swaps, gainTotal
 }
 
-// scoreSide gain-scores side edges for a move into partition `to` against
-// the phase-start state, returning at most maxSwapCandidates candidates with
-// non-negative gain, ordered (gain desc, edge id asc). A zero-gain edge is
-// kept: paired with a positive-gain partner the exchange still wins.
+// collectSwapCandidates fills the swap buckets in one ascending sweep over
+// the boundary edges. Bucket b = (i*p+j)*3+g holds, ascending, up to
+// maxSwapCandidates edges of partition i whose move into j gains g: with
+// leave gain L = [count(u,i)=1] + [count(v,i)=1], g is L for targets holding
+// both endpoints, L-1 for one and L-2 for neither. A full bucket (i, j, g)
+// drops j from the open mask of (i, g).
 //
 //graphpart:hotpath test=TestHotPathAllocs_RefineScoring
-func scoreSide(st *partition.State, edges []graph.EdgeID, to int) []swapCand {
-	out := make([]swapCand, 0, len(edges))
-	for _, e := range edges {
-		if g := -st.MoveDelta(e, to); g >= 0 {
-			out = append(out, swapCand{e: e, gain: int32(g)})
+func (r *runner) collectSwapCandidates() {
+	st, p := r.st, r.st.P()
+	nw := (p + 63) / 64
+	if r.fill == nil { // the first sweep sizes the scratch every later one reuses
+		r.open, r.masks, r.parts = make([]uint64, 3*p*nw), make([]uint64, 2*nw), make([]int, 0, p)
+		r.slab, r.fill = make([]int32, 3*p*p), make([]uint8, 3*p*p)
+	}
+	clear(r.fill)
+	clear(r.slab)
+	clear(r.open)
+	r.pool = r.pool[:0]
+	for row := 0; row < 3*p; row++ {
+		for k := 0; k < p; k++ {
+			if k != row/3 {
+				r.open[row*nw+k>>6] |= 1 << uint(k&63)
+			}
 		}
 	}
-	sort.Sort(swapCandsByGain(out))
-	if len(out) > maxSwapCandidates {
-		out = out[:maxSwapCandidates]
+	for id, ed := range r.g.Edges() {
+		e := graph.EdgeID(id)
+		if !st.IsBoundary(e) {
+			continue
+		}
+		i, _ := st.Assignment().PartitionOf(e)
+		leave := 0
+		for _, v := range [2]graph.Vertex{ed.U, ed.V} {
+			if st.Count(v, i) == 1 {
+				leave++
+			}
+		}
+		// Empty: every bucket (i, j, leave) is full, so no list reaches lower.
+		if slices.Max(r.open[(i*3+leave)*nw:(i*3+leave+1)*nw]) == 0 {
+			continue
+		}
+		clear(r.masks)
+		for x, v := range [2]graph.Vertex{ed.U, ed.V} {
+			for _, k := range st.Partitions(v, r.parts[:0]) {
+				r.masks[x*nw+k>>6] |= 1 << uint(k&63)
+			}
+		}
+		for w := 0; w < nw; w++ {
+			mu, mv := r.masks[w], r.masks[nw+w]
+			targets := [3]uint64{mu & mv, mu ^ mv, ^(mu | mv)} // gain leave, leave-1, leave-2
+			for g := leave; g >= 0; g-- {
+				for t := targets[leave-g] & r.open[(i*3+g)*nw+w]; t != 0; t &= t - 1 {
+					b := (i*p+w<<6+mathbits.TrailingZeros64(t))*3 + g
+					if r.fill[b] == 0 { // first edge this pass: claim a slab of the pool
+						r.slab[b] = int32(len(r.pool))
+						r.pool = slices.Grow(r.pool, maxSwapCandidates)[:len(r.pool)+maxSwapCandidates]
+					}
+					r.pool[int(r.slab[b])+int(r.fill[b])] = e
+					if r.fill[b]++; r.fill[b] == maxSwapCandidates {
+						r.open[(i*3+g)*nw+w] &^= t & -t
+					}
+				}
+			}
+		}
 	}
-	return out
 }
 
-// swapCandsByGain orders candidates gain-descending with edge id as the
-// strict tiebreak — the same total order the sort.Slice closure used to
-// encode, now as a concrete sort.Interface so scoreSide stays off the
-// reflection path and allocation-constant per call.
-type swapCandsByGain []swapCand
-
-func (s swapCandsByGain) Len() int      { return len(s) }
-func (s swapCandsByGain) Swap(a, b int) { s[a], s[b] = s[b], s[a] }
-func (s swapCandsByGain) Less(a, b int) bool {
-	if s[a].gain != s[b].gain {
-		return s[a].gain > s[b].gain
+// candidates appends side i's list toward j to dst: buckets (i, j, 2),
+// (i, j, 1), (i, j, 0) in turn, cut to maxSwapCandidates. A zero-gain edge
+// is kept: paired with a positive-gain partner the exchange still wins.
+func (r *runner) candidates(dst []swapCand, i, j int) []swapCand {
+	for g := 2; g >= 0; g-- {
+		b := (i*r.st.P()+j)*3 + g
+		for _, e := range r.pool[r.slab[b] : int(r.slab[b])+int(r.fill[b])] {
+			dst = append(dst, swapCand{e: e, gain: int32(g)})
+		}
 	}
-	return s[a].e < s[b].e
+	return dst[:min(len(dst), maxSwapCandidates)]
 }

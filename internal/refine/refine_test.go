@@ -1,6 +1,7 @@
 package refine
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -32,6 +33,23 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(g, a, Options{}); err == nil {
 		t.Fatal("incomplete assignment accepted")
+	}
+	for id := 0; id < g.NumEdges(); id++ {
+		a.Assign(graph.EdgeID(id), id%2)
+	}
+	// Zero keeps meaning "default"; negative or non-finite values used to
+	// fall back to the defaults (or, for MaxSeconds, disable the budget)
+	// without a word.
+	for _, bad := range []Options{
+		{Capacity: -1}, {MaxPasses: -1}, {MinGain: -1},
+		{MaxSeconds: -1}, {MaxSeconds: math.NaN()}, {MaxSeconds: math.Inf(1)}, {MaxSeconds: math.Inf(-1)},
+	} {
+		if _, err := Run(g, a.Clone(), bad); err == nil {
+			t.Errorf("options %+v accepted", bad)
+		}
+	}
+	if _, err := Run(g, a, Options{Workers: -1, MaxSeconds: 10}); err != nil {
+		t.Fatalf("valid options rejected: %v", err)
 	}
 }
 
