@@ -48,17 +48,24 @@ func DeriveBalanced(g *graph.Graph, labels []int32, p int) (*partition.Assignmen
 	if len(over) == 0 {
 		return a, nil
 	}
-	// present[k] is a vertex->bool presence map per partition, maintained
-	// approximately (presence is only added, never removed, so "both
-	// endpoints present" stays a safe no-new-replica test for targets).
-	present := make([]map[graph.Vertex]bool, p)
-	for k := range present {
-		present[k] = make(map[graph.Vertex]bool)
+	// present is an n*p bitset, bit v*p+k set when vertex v is in
+	// partition k, maintained approximately (presence is only added, never
+	// removed, so "both endpoints present" stays a safe no-new-replica test
+	// for targets).
+	present := make([]uint64, (g.NumVertices()*p+63)/64)
+	mark := func(e graph.Edge, k int) {
+		for _, v := range [2]graph.Vertex{e.U, e.V} {
+			i := int(v)*p + k
+			present[i/64] |= 1 << (i % 64)
+		}
+	}
+	has := func(v graph.Vertex, k int) bool {
+		i := int(v)*p + k
+		return present[i/64]&(1<<(i%64)) != 0
 	}
 	for id, e := range g.Edges() {
 		k, _ := a.PartitionOf(graph.EdgeID(id))
-		present[k][e.U] = true
-		present[k][e.V] = true
+		mark(e, k)
 	}
 	// Edge donation candidates per overfull partition, cheapest first:
 	// pass 1 free moves, pass 2 endpoint-part moves, pass 3 forced moves.
@@ -77,8 +84,7 @@ func DeriveBalanced(g *graph.Graph, labels []int32, p int) (*partition.Assignmen
 					// Free: some underfull partition already holds
 					// both endpoints.
 					for t := 0; t < p; t++ {
-						if t != k && a.Load(t) < capC &&
-							present[t][e.U] && present[t][e.V] {
+						if t != k && a.Load(t) < capC && has(e.U, t) && has(e.V, t) {
 							target = t
 							break
 						}
@@ -105,8 +111,7 @@ func DeriveBalanced(g *graph.Graph, labels []int32, p int) (*partition.Assignmen
 					continue
 				}
 				a.Assign(eid, target)
-				present[target][e.U] = true
-				present[target][e.V] = true
+				mark(e, target)
 			}
 		}
 	}
@@ -130,18 +135,18 @@ func overfull(a *partition.Assignment, capC int) []int {
 // the classic Kernighan-Lin/FM approach the paper cites as the pre-METIS
 // offline baseline. Exists as the DESIGN.md §6 multilevel-vs-flat ablation.
 type FlatKL struct {
-	cfg Config
+	m *Partitioner
 }
 
 var _ partition.Partitioner = (*FlatKL)(nil)
 
 // NewFlatKL returns the non-multilevel offline baseline.
 func NewFlatKL(cfg Config) *FlatKL {
-	c := cfg.withDefaults()
+	m := New(cfg)
 	// Disabling coarsening: the driver stops immediately when the graph
 	// is already at or below CoarsenTo, so set it enormous.
-	c.CoarsenTo = int(^uint(0) >> 1)
-	return &FlatKL{cfg: c}
+	m.cfg.CoarsenTo = int(^uint(0) >> 1)
+	return &FlatKL{m: m}
 }
 
 // Name implements partition.Partitioner.
@@ -149,10 +154,5 @@ func (f *FlatKL) Name() string { return "KL" }
 
 // Partition implements partition.Partitioner.
 func (f *FlatKL) Partition(g *graph.Graph, p int) (*partition.Assignment, error) {
-	m := &Partitioner{cfg: f.cfg}
-	labels, err := m.VertexPartition(g, p)
-	if err != nil {
-		return nil, err
-	}
-	return DeriveEdgePartition(g, labels, p)
+	return f.m.Partition(g, p)
 }

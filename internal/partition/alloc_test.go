@@ -9,9 +9,8 @@ import (
 )
 
 // TestHotPathAllocs_MoveSwap is the cross-check named by the
-// //graphpart:hotpath annotations on State.Move and State.Swap: once the
-// boundary index has grown to its high-water mark, reversible move and swap
-// round trips allocate nothing. p stays at 8 so the dense replica-count
+// //graphpart:hotpath annotations on State.Move and State.Swap: reversible
+// move and swap round trips allocate nothing. p stays at 8 so the dense replica-count
 // path (p <= 64) is the one measured — the sparse path carries its own
 // suppressed GL010 for amortized row growth.
 func TestHotPathAllocs_MoveSwap(t *testing.T) {
@@ -43,11 +42,6 @@ func TestHotPathAllocs_MoveSwap(t *testing.T) {
 		s.Move(e1, k1)
 		s.Swap(e1, e2)
 		s.Swap(e1, e2)
-	}
-	// Warm up: the boundary index reaches its high-water mark on the first
-	// round trip; everything after is in-place.
-	for i := 0; i < 16; i++ {
-		roundTrip()
 	}
 	if allocs := testing.AllocsPerRun(500, roundTrip); allocs != 0 {
 		t.Fatalf("Move/Swap round trip allocates %.1f times", allocs)

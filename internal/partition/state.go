@@ -3,7 +3,6 @@ package partition
 import (
 	"fmt"
 	mathbits "math/bits"
-	"slices"
 	"sort"
 
 	"github.com/graphpart/graphpart/internal/graph"
@@ -60,10 +59,10 @@ type State struct {
 	totalReplicas int
 	spannedCount  int
 
-	// Boundary-edge index with O(1) swap-removal: boundary holds the member
-	// edge ids in arbitrary order, bpos[e] is e's index or -1.
-	boundary []graph.EdgeID
-	bpos     []int32
+	// Boundary-edge index: boundary[e] flags member edges, numBoundary
+	// counts them.
+	boundary    []bool
+	numBoundary int
 
 	ops int64 // mutation counter driving the sampled invariant check
 }
@@ -88,7 +87,7 @@ func NewState(g *graph.Graph, a *Assignment) (*State, error) {
 		a:        a,
 		p:        p,
 		replicas: make([]int32, n),
-		bpos:     make([]int32, g.NumEdges()),
+		boundary: make([]bool, g.NumEdges()),
 	}
 	if p <= 64 {
 		s.counts = make([]int32, n*p)
@@ -116,10 +115,8 @@ func NewState(g *graph.Graph, a *Assignment) (*State, error) {
 	}
 	for id, e := range g.Edges() {
 		if s.replicas[e.U] >= 2 || s.replicas[e.V] >= 2 {
-			s.bpos[id] = int32(len(s.boundary))
-			s.boundary = append(s.boundary, graph.EdgeID(id))
-		} else {
-			s.bpos[id] = -1
+			s.boundary[id] = true
+			s.numBoundary++
 		}
 	}
 	return s, nil
@@ -191,20 +188,10 @@ func (s *State) Balance() float64 {
 }
 
 // NumBoundary returns the current boundary-edge count.
-func (s *State) NumBoundary() int { return len(s.boundary) }
+func (s *State) NumBoundary() int { return s.numBoundary }
 
 // IsBoundary reports whether edge e has a spanned endpoint.
-func (s *State) IsBoundary(e graph.EdgeID) bool { return s.bpos[e] != -1 }
-
-// AppendBoundary appends the boundary edges to buf in ascending edge-id
-// order (the internal index is swap-mutated, so it is sorted here: every
-// deterministic consumer needs this order anyway) and returns the slice.
-func (s *State) AppendBoundary(buf []graph.EdgeID) []graph.EdgeID {
-	start := len(buf)
-	buf = append(buf, s.boundary...)
-	slices.Sort(buf[start:])
-	return buf
-}
+func (s *State) IsBoundary(e graph.EdgeID) bool { return s.boundary[e] }
 
 // MoveDelta returns the change in TotalReplicas that Move(e, to) would
 // cause, without mutating anything. Negative is an improvement. The two
@@ -311,9 +298,9 @@ func (s *State) flipSpanned(v graph.Vertex, spanned bool) {
 	if spanned {
 		s.spannedCount++
 		for _, e := range eids {
-			if s.bpos[e] == -1 {
-				s.bpos[e] = int32(len(s.boundary))
-				s.boundary = append(s.boundary, e)
+			if !s.boundary[e] {
+				s.boundary[e] = true
+				s.numBoundary++
 			}
 		}
 		return
@@ -321,16 +308,10 @@ func (s *State) flipSpanned(v graph.Vertex, spanned bool) {
 	s.spannedCount--
 	nbrs := s.g.Neighbors(v)
 	for i, e := range eids {
-		if s.replicas[nbrs[i]] >= 2 {
-			continue
+		if s.replicas[nbrs[i]] < 2 {
+			s.boundary[e] = false
+			s.numBoundary--
 		}
-		// O(1) swap-removal mirroring the alive-adjacency idiom.
-		pos := s.bpos[e]
-		last := s.boundary[len(s.boundary)-1]
-		s.boundary[pos] = last
-		s.bpos[last] = pos
-		s.boundary = s.boundary[:len(s.boundary)-1]
-		s.bpos[e] = -1
 	}
 }
 
@@ -424,20 +405,14 @@ func (s *State) AssertConsistent() {
 	nb := 0
 	for id, e := range s.g.Edges() {
 		want := fresh[e.U] >= 2 || fresh[e.V] >= 2
-		got := s.bpos[id] != -1
-		invariants.Assertf(want == got,
-			"edge %d: boundary-index membership %v, recomputed %v", id, got, want)
+		invariants.Assertf(want == s.boundary[id],
+			"edge %d: boundary-index membership %v, recomputed %v", id, s.boundary[id], want)
 		if want {
 			nb++
 		}
-		if got {
-			pos := s.bpos[id]
-			invariants.Assertf(int(pos) < len(s.boundary) && s.boundary[pos] == graph.EdgeID(id),
-				"edge %d: bpos %d does not point back at the edge", id, pos)
-		}
 	}
-	invariants.Assertf(nb == len(s.boundary),
-		"boundary index holds %d edges, recomputation found %d", len(s.boundary), nb)
+	invariants.Assertf(nb == s.numBoundary,
+		"boundary index counts %d edges, recomputation found %d", s.numBoundary, nb)
 	for v := range fresh {
 		invariants.Assertf(s.countReplicas(graph.Vertex(v)) == fresh[v],
 			"vertex %d: representation replica count %d, recomputed %d",

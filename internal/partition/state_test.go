@@ -209,32 +209,6 @@ func TestStatePartitionsAndCounts(t *testing.T) {
 	}
 }
 
-func TestStateAppendBoundarySorted(t *testing.T) {
-	r := rng.New(17)
-	g, a := randomTestGraph(r, 30, 60, 5)
-	s, err := NewState(g, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		s.Move(graph.EdgeID(r.Intn(g.NumEdges())), r.Intn(5))
-	}
-	b := s.AppendBoundary(nil)
-	if len(b) != s.NumBoundary() {
-		t.Fatalf("AppendBoundary returned %d edges, NumBoundary is %d", len(b), s.NumBoundary())
-	}
-	for i := 1; i < len(b); i++ {
-		if b[i-1] >= b[i] {
-			t.Fatalf("boundary not strictly ascending at %d: %v", i, b[i-1:i+1])
-		}
-	}
-	for _, e := range b {
-		if !s.IsBoundary(e) {
-			t.Fatalf("edge %d in snapshot but not IsBoundary", e)
-		}
-	}
-}
-
 func TestAssignLeftoversMatchesArgminScan(t *testing.T) {
 	r := rng.New(31)
 	g, _ := randomTestGraph(r, 40, 120, 1)

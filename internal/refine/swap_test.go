@@ -41,9 +41,11 @@ func checkSwapCandidates(t *testing.T, r *runner) {
 	st := r.st
 	p := st.P()
 	byPart := make([][]graph.EdgeID, p)
-	for _, e := range st.AppendBoundary(nil) {
-		k, _ := st.Assignment().PartitionOf(e)
-		byPart[k] = append(byPart[k], e)
+	for id := 0; id < st.Assignment().NumEdges(); id++ {
+		if e := graph.EdgeID(id); st.IsBoundary(e) {
+			k, _ := st.Assignment().PartitionOf(e)
+			byPart[k] = append(byPart[k], e)
+		}
 	}
 	r.collectSwapCandidates()
 	for i := 0; i < p; i++ {
