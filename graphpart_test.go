@@ -170,6 +170,9 @@ func TestPublicAPIStatsAndCapacity(t *testing.T) {
 	if _, err := graphpart.FromEdges(2, []graphpart.Edge{{U: 0, V: 1}}); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := graphpart.FromEdges(2, []graphpart.Edge{{U: 0, V: 1}, {U: 1, V: 0}}); err == nil {
+		t.Fatal("duplicate edge accepted")
+	}
 	if _, err := graphpart.NewTLPChecked(graphpart.TLPOptions{CapacitySlack: 0.1}); err == nil {
 		t.Fatal("bad slack accepted")
 	}

@@ -30,7 +30,7 @@ type CommunityConfig struct {
 // random background between them.
 func PlantedCommunities(cfg CommunityConfig, r *rng.RNG) *graph.Graph {
 	n := cfg.Vertices
-	acc := newEdgeAccum(maxInt(n, 0))
+	acc := newEdgeAccum(maxInt(n, 0), cfg.TargetEdges)
 	if n < 2 || cfg.TargetEdges <= 0 {
 		return acc.build()
 	}
@@ -77,9 +77,10 @@ func PlantedCommunities(cfg CommunityConfig, r *rng.RNG) *graph.Graph {
 		total += pairs
 		cum[i] = total
 	}
+	pick := newCumIndex(cum)
 	added := 0
 	for attempts := 0; added < intra && attempts < 20*intra+100; attempts++ {
-		ci := searchCum(cum, r.Float64()*total)
+		ci := pick.search(r.Float64() * total)
 		s := sizes[ci]
 		if s < 2 {
 			continue
@@ -105,11 +106,66 @@ func PlantedCommunities(cfg CommunityConfig, r *rng.RNG) *graph.Graph {
 	return acc.build()
 }
 
+// searchCum returns the first index i with cum[i] >= x, or len(cum)-1 when
+// there is none, for a non-decreasing cum.
 func searchCum(cum []float64, x float64) int {
 	lo, hi := 0, len(cum)-1
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if cum[mid] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// cumIndex answers searchCum queries over one cumulative-weight array in
+// expected O(1) steps. guide[k] is searchCum's answer at the boundary
+// k·total/K of K = len(cum) equal buckets of [0, total]. A lookup checks
+// that its bucket's two guides lo, hi bracket x (cum[lo-1] < x <= cum[hi]),
+// which pins searchCum's answer to [lo, hi], and binary-searches only that
+// range; otherwise, say when float rounding put x in a neighbouring bucket,
+// it falls back to searchCum. Either way search(x) == searchCum(cum, x).
+type cumIndex struct {
+	cum   []float64
+	guide []int32 // K+1 entries; nil when total is not positive
+	scale float64 // K / total
+}
+
+func newCumIndex(cum []float64) *cumIndex {
+	ix := &cumIndex{cum: cum}
+	k := len(cum)
+	if k == 0 || !(cum[k-1] > 0) {
+		return ix
+	}
+	total := cum[k-1]
+	ix.scale = float64(k) / total
+	ix.guide = make([]int32, k+1)
+	i := 0
+	for b := range ix.guide {
+		x := float64(b) * total / float64(k)
+		for i < k-1 && cum[i] < x {
+			i++
+		}
+		ix.guide[b] = int32(i)
+	}
+	return ix
+}
+
+func (ix *cumIndex) search(x float64) int {
+	if ix.guide == nil {
+		return searchCum(ix.cum, x)
+	}
+	b := min(max(int(x*ix.scale), 0), len(ix.cum)-1)
+	lo, hi := int(ix.guide[b]), int(ix.guide[b+1])
+	if (lo > 0 && !(ix.cum[lo-1] < x)) || !(x <= ix.cum[hi]) {
+		return searchCum(ix.cum, x)
+	}
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if ix.cum[mid] < x {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -162,7 +218,7 @@ type CollabConfig struct {
 // Collaboration generates a clique-overlap co-authorship graph.
 func Collaboration(cfg CollabConfig, r *rng.RNG) *graph.Graph {
 	n := cfg.Authors
-	acc := newEdgeAccum(maxInt(n, 0))
+	acc := newEdgeAccum(maxInt(n, 0), cfg.TargetEdges)
 	if n < 2 || cfg.TargetEdges <= 0 {
 		return acc.build()
 	}
@@ -177,15 +233,16 @@ func Collaboration(cfg CollabConfig, r *rng.RNG) *graph.Graph {
 	if alpha <= 0 {
 		alpha = 0.75
 	}
-	// Pre-compute cumulative weights for binary-search sampling.
+	// Pre-compute cumulative weights for guide-table sampling.
 	cum := make([]float64, n)
 	total := 0.0
 	for i := 0; i < n; i++ {
 		total += math.Pow(float64(i+1), -alpha)
 		cum[i] = total
 	}
+	pick := newCumIndex(cum)
 	sampleAuthor := func() graph.Vertex {
-		return graph.Vertex(perm[searchCum(cum, r.Float64()*total)])
+		return graph.Vertex(perm[pick.search(r.Float64()*total)])
 	}
 	guard := 0
 	for acc.count() < cfg.TargetEdges && guard < 50*cfg.TargetEdges+1000 {
@@ -239,7 +296,7 @@ type GenealogyConfig struct {
 // Genealogy generates the family-forest graph.
 func Genealogy(cfg GenealogyConfig, r *rng.RNG) *graph.Graph {
 	n := cfg.People
-	acc := newEdgeAccum(maxInt(n, 0))
+	acc := newEdgeAccum(maxInt(n, 0), cfg.TargetEdges)
 	if n < 2 || cfg.TargetEdges <= 0 {
 		return acc.build()
 	}

@@ -10,32 +10,18 @@ import (
 // ErdosRenyi generates G(n, m): exactly m distinct uniform random edges
 // (fewer if m exceeds the number of possible edges).
 func ErdosRenyi(n, m int, r *rng.RNG) *graph.Graph {
-	b := graph.NewBuilder(n)
 	if n < 2 {
-		return b.Build()
+		return graph.NewBuilder(n).Build()
 	}
 	maxEdges := int64(n) * int64(n-1) / 2
 	if int64(m) > maxEdges {
 		m = int(maxEdges)
 	}
-	seen := make(map[uint64]struct{}, m)
-	for len(seen) < m {
-		u := graph.Vertex(r.Intn(n))
-		v := graph.Vertex(r.Intn(n))
-		if u == v {
-			continue
-		}
-		if u > v {
-			u, v = v, u
-		}
-		key := uint64(u)<<32 | uint64(uint32(v))
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		_ = b.AddEdge(u, v)
+	acc := newEdgeAccum(n, m)
+	for acc.count() < m {
+		acc.add(graph.Vertex(r.Intn(n)), graph.Vertex(r.Intn(n)))
 	}
-	return b.Build()
+	return acc.build()
 }
 
 // BarabasiAlbert generates a preferential-attachment graph: vertices arrive

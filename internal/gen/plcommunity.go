@@ -32,7 +32,7 @@ type PowerLawCommunityConfig struct {
 // endpoints from one community.
 func PowerLawCommunities(cfg PowerLawCommunityConfig, r *rng.RNG) *graph.Graph {
 	n := cfg.Vertices
-	acc := newEdgeAccum(maxInt(n, 0))
+	acc := newEdgeAccum(maxInt(n, 0), cfg.TargetEdges)
 	if n < 2 || cfg.TargetEdges <= 0 {
 		return acc.build()
 	}
@@ -66,7 +66,7 @@ func PowerLawCommunities(cfg PowerLawCommunityConfig, r *rng.RNG) *graph.Graph {
 		total += w[i]
 		globalCum[i] = total
 	}
-	commCum := make([][]float64, comms)
+	commPick := make([]*cumIndex, comms)
 	commTotal := make([]float64, comms)
 	commPairW := make([]float64, comms) // ~ (sum w)^2, community mass
 	pairTotal := 0.0
@@ -77,29 +77,30 @@ func PowerLawCommunities(cfg PowerLawCommunityConfig, r *rng.RNG) *graph.Graph {
 			t += w[v]
 			cum[i] = t
 		}
-		commCum[c] = cum
+		commPick[c] = newCumIndex(cum)
 		commTotal[c] = t
 		commPairW[c] = t * t
 		pairTotal += commPairW[c]
 	}
-	commPick := make([]float64, comms)
+	pairCum := make([]float64, comms)
 	run := 0.0
 	for c := 0; c < comms; c++ {
 		run += commPairW[c]
-		commPick[c] = run
+		pairCum[c] = run
 	}
+	globalPick, pairPick := newCumIndex(globalCum), newCumIndex(pairCum)
 	sampleGlobal := func() int32 {
-		return int32(searchCum(globalCum, r.Float64()*total))
+		return int32(globalPick.search(r.Float64() * total))
 	}
 	sampleIn := func(c int) int32 {
-		return members[c][searchCum(commCum[c], r.Float64()*commTotal[c])]
+		return members[c][commPick[c].search(r.Float64()*commTotal[c])]
 	}
 	intra := int(float64(cfg.TargetEdges) * clamp01(intraFrac))
 	guard := 0
 	maxGuard := 60*cfg.TargetEdges + 1000
 	for acc.count() < intra && guard < maxGuard {
 		guard++
-		c := searchCum(commPick, r.Float64()*pairTotal)
+		c := pairPick.search(r.Float64() * pairTotal)
 		if len(members[c]) < 2 {
 			continue
 		}

@@ -14,9 +14,8 @@ package graph
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
-	"github.com/graphpart/graphpart/internal/parallel"
+	"github.com/graphpart/graphpart/internal/invariants"
 )
 
 // Vertex identifies a vertex as a dense index in [0, NumVertices).
@@ -140,7 +139,7 @@ func FromEdges(numVertices int, edges []Edge) (*Graph, error) {
 			return nil, err
 		}
 	}
-	return b.Build(), nil
+	return b.BuildStrict()
 }
 
 // MustFromEdges is FromEdges that panics on error; intended for tests and
@@ -153,49 +152,26 @@ func MustFromEdges(numVertices int, edges []Edge) *Graph {
 	return g
 }
 
-// parallelBuildThreshold is the edge count below which CSR assembly stays
-// sequential: pool startup and atomic traffic cost more than they save on
-// small graphs.
-const parallelBuildThreshold = 1 << 15
-
-// build assembles the CSR arrays from a deduplicated canonical edge list.
-// edges must already be self-loop free, duplicate free, and have U < V.
+// build assembles the CSR arrays from a canonical edge list that is sorted
+// by (U, V), self-loop free and duplicate free; edge i gets EdgeID i.
 //
-// Assembly is sharded over the worker pool for large graphs. The resulting
-// arrays are byte-identical to the sequential build: neighbour ids within a
-// vertex are unique (simple graph), so the per-vertex sort erases whatever
-// interleaving the concurrent bucket fill produced.
+// Rows come out sorted without a sort. The fill walks the edges in order,
+// so an edge (u, x) with u < x reaches x's row before every edge (x, v):
+// x's row receives its smaller neighbours in ascending u, then its larger
+// neighbours in ascending v.
 func build(numVertices int, edges []Edge) *Graph {
-	// Sort edges canonically so EdgeIDs are deterministic regardless of
-	// insertion order.
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
-	})
 	g := &Graph{
 		offsets: make([]int64, numVertices+1),
 		adj:     make([]Vertex, 2*len(edges)),
 		adjEdge: make([]EdgeID, 2*len(edges)),
 		edges:   edges,
 	}
-	if workers := parallel.Workers(0); workers > 1 && len(edges) >= parallelBuildThreshold {
-		buildCSRParallel(g, numVertices, edges, workers)
-	} else {
-		buildCSRSequential(g, numVertices, edges)
-	}
-	return g
-}
-
-func buildCSRSequential(g *Graph, numVertices int, edges []Edge) {
-	deg := make([]int64, numVertices)
 	for _, e := range edges {
-		deg[e.U]++
-		deg[e.V]++
+		g.offsets[e.U+1]++
+		g.offsets[e.V+1]++
 	}
 	for v := 0; v < numVertices; v++ {
-		g.offsets[v+1] = g.offsets[v] + deg[v]
+		g.offsets[v+1] += g.offsets[v]
 	}
 	cursor := make([]int64, numVertices)
 	copy(cursor, g.offsets[:numVertices])
@@ -207,80 +183,13 @@ func buildCSRSequential(g *Graph, numVertices int, edges []Edge) {
 		g.adjEdge[cursor[e.V]] = EdgeID(id)
 		cursor[e.V]++
 	}
-	// Neighbour lists come out sorted by construction for the U side but
-	// interleaved for the V side; sort each range (ids follow neighbours).
-	for v := 0; v < numVertices; v++ {
-		lo, hi := g.offsets[v], g.offsets[v+1]
-		sortAdjRange(g.adj[lo:hi], g.adjEdge[lo:hi])
-	}
-}
-
-// buildCSRParallel assembles the same CSR arrays with three sharded passes:
-// an atomic degree count over edge shards, an atomic-cursor bucket fill over
-// edge shards, and a per-vertex-range sort pass that restores the canonical
-// neighbour order.
-func buildCSRParallel(g *Graph, numVertices int, edges []Edge, workers int) {
-	// Oversplit so a dense shard cannot straggle the whole pass.
-	edgeChunks := parallel.Chunks(len(edges), workers*4)
-	deg := make([]int32, numVertices)
-	parallel.ForEach(len(edgeChunks), workers, func(c int) {
-		for _, e := range edges[edgeChunks[c][0]:edgeChunks[c][1]] {
-			atomic.AddInt32(&deg[e.U], 1)
-			atomic.AddInt32(&deg[e.V], 1)
-		}
-	})
-	for v := 0; v < numVertices; v++ {
-		g.offsets[v+1] = g.offsets[v] + int64(deg[v])
-	}
-	cursor := make([]int64, numVertices)
-	copy(cursor, g.offsets[:numVertices])
-	parallel.ForEach(len(edgeChunks), workers, func(c int) {
-		lo, hi := edgeChunks[c][0], edgeChunks[c][1]
-		for id := lo; id < hi; id++ {
-			e := edges[id]
-			su := atomic.AddInt64(&cursor[e.U], 1) - 1
-			g.adj[su] = e.V
-			g.adjEdge[su] = EdgeID(id)
-			sv := atomic.AddInt64(&cursor[e.V], 1) - 1
-			g.adj[sv] = e.U
-			g.adjEdge[sv] = EdgeID(id)
-		}
-	})
-	vertChunks := parallel.Chunks(numVertices, workers*4)
-	parallel.ForEach(len(vertChunks), workers, func(c int) {
-		for v := vertChunks[c][0]; v < vertChunks[c][1]; v++ {
-			lo, hi := g.offsets[v], g.offsets[v+1]
-			sortAdjRange(g.adj[lo:hi], g.adjEdge[lo:hi])
-		}
-	})
-}
-
-// sortAdjRange sorts a neighbour slice and its parallel edge-id slice by
-// neighbour id. Insertion sort for short ranges, sort.Sort otherwise.
-func sortAdjRange(nbrs []Vertex, eids []EdgeID) {
-	if len(nbrs) < 24 {
-		for i := 1; i < len(nbrs); i++ {
-			n, e := nbrs[i], eids[i]
-			j := i - 1
-			for j >= 0 && nbrs[j] > n {
-				nbrs[j+1], eids[j+1] = nbrs[j], eids[j]
-				j--
+	if invariants.Enabled {
+		for v := 0; v < numVertices; v++ {
+			row := g.Neighbors(Vertex(v))
+			for i := 1; i < len(row); i++ {
+				invariants.Assertf(row[i-1] < row[i], "graph: row %d not strictly ascending at %d: %v", v, i, row)
 			}
-			nbrs[j+1], eids[j+1] = n, e
 		}
-		return
 	}
-	sort.Sort(&adjSorter{nbrs, eids})
-}
-
-type adjSorter struct {
-	nbrs []Vertex
-	eids []EdgeID
-}
-
-func (s *adjSorter) Len() int           { return len(s.nbrs) }
-func (s *adjSorter) Less(i, j int) bool { return s.nbrs[i] < s.nbrs[j] }
-func (s *adjSorter) Swap(i, j int) {
-	s.nbrs[i], s.nbrs[j] = s.nbrs[j], s.nbrs[i]
-	s.eids[i], s.eids[j] = s.eids[j], s.eids[i]
+	return g
 }

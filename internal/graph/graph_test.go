@@ -261,6 +261,12 @@ func TestFromEdgesRejectsBadInput(t *testing.T) {
 	if _, err := FromEdges(2, []Edge{{0, 5}}); err == nil {
 		t.Fatal("FromEdges accepted out-of-range edge")
 	}
+	if g, err := FromEdges(3, []Edge{{0, 1}, {1, 0}}); err == nil {
+		t.Fatalf("FromEdges collapsed a duplicate edge into %d edge(s)", g.NumEdges())
+	}
+	if g, err := FromEdges(3, []Edge{{2, 0}, {0, 1}}); err != nil || g.NumEdges() != 2 {
+		t.Fatalf("FromEdges on distinct edges: %v", err)
+	}
 }
 
 func TestMustFromEdgesPanics(t *testing.T) {

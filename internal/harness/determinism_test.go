@@ -142,10 +142,9 @@ func TestHarnessRepeatedRunsSameSeed(t *testing.T) {
 }
 
 // TestGenerateWorkerCountInvariance checks the generated graphs themselves
-// (not just derived tables) are independent of the worker count used during
-// CSR assembly.
+// (not just derived tables) are independent of the worker-count setting.
 func TestGenerateWorkerCountInvariance(t *testing.T) {
-	d := gen.SmallDatasets()[4] // G5s: power-law family, above build threshold
+	d := gen.SmallDatasets()[4] // G5s: power-law family
 
 	t.Setenv(parallel.EnvWorkers, "1")
 	g1 := d.Generate(7)

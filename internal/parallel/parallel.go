@@ -1,6 +1,6 @@
 // Package parallel provides the small bounded worker pool used to fan
 // independent work items out over the available cores: harness grid cells,
-// dataset generation, CSR assembly and metric scans.
+// dataset generation and metric scans.
 //
 // The package is stdlib-only and deliberately tiny: an indexed ForEach (with
 // an error-collecting variant) and an order-preserving Map. Work items are

@@ -686,7 +686,7 @@ func readSpec(link *workerLink) (*graph.Graph, *partition.Assignment, engine.Pro
 	}
 	g, err := graph.FromEdges(n, edges)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, fmt.Errorf("spec edges: %w", err)
 	}
 	a, err := partition.New(m, p)
 	if err != nil {

@@ -5,10 +5,13 @@ import (
 	"errors"
 	"io"
 	"math"
+	"net"
 	"strings"
 	"testing"
 
 	"github.com/graphpart/graphpart/internal/engine"
+	"github.com/graphpart/graphpart/internal/graph"
+	"github.com/graphpart/graphpart/internal/partition"
 )
 
 // goldenFrames pins the wire encoding byte for byte: a codec change that
@@ -301,5 +304,36 @@ func TestTotalsRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeTotals(make([]byte, totalsSize+1)); err == nil {
 		t.Fatal("oversized totals accepted")
+	}
+}
+
+// TestReadSpecRejectsDuplicateEdges hands a worker a spec stream whose edge
+// list repeats an edge and expects readSpec to refuse it as a duplicate,
+// rather than rebuild a smaller graph that mismatches the assignment.
+func TestReadSpecRejectsDuplicateEdges(t *testing.T) {
+	g := graph.MustFromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
+	a, err := partition.New(g.NumEdges(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Assign(0, 0)
+	a.Assign(1, 0)
+	frames, err := specFrames(ProgramSpec{Name: "components"}, g, a, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge12 := []byte{0, 0, 0, 1, 0, 0, 0, 2}
+	if bytes.Count(frames, edge12) != 1 {
+		t.Fatal("edge (1, 2) not found exactly once in the spec stream")
+	}
+	frames = bytes.Replace(frames, edge12, []byte{0, 0, 0, 1, 0, 0, 0, 0}, 1)
+
+	coord, worker := net.Pipe()
+	go func() { _, _ = coord.Write(frames) }()
+	defer coord.Close()
+	defer worker.Close()
+	_, _, _, err = readSpec(&workerLink{conn: worker, rd: NewReader(worker)})
+	if err == nil || !strings.Contains(err.Error(), "duplicate edge (0, 1)") {
+		t.Fatalf("readSpec error %v, want a duplicate-edge error", err)
 	}
 }
