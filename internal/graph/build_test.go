@@ -160,3 +160,81 @@ func TestBuildMatchesReference(t *testing.T) {
 		})
 	}
 }
+
+// TestFromEdgesOrderedInput covers the inputs sortEdges' sortedness check
+// separates: already sorted (left alone), sorted with an adjacent duplicate
+// (BuildStrict must still reject it), sorted but for one trailing inversion,
+// and reverse-sorted. Every accepted list must build exactly the reference.
+func TestFromEdgesOrderedInput(t *testing.T) {
+	r := rng.New(23)
+	const n = 2000
+	raw := make([]Edge, 12000)
+	for i := range raw {
+		raw[i] = Edge{Vertex(r.Intn(n)), Vertex(r.Intn(n))}
+	}
+	sorted := referenceGraph(n, raw).edges
+	trailing := append([]Edge(nil), sorted...)
+	last := len(trailing) - 1
+	trailing[last-1], trailing[last] = trailing[last], trailing[last-1]
+	reversed := make([]Edge, len(sorted))
+	for i, e := range sorted {
+		reversed[len(sorted)-1-i] = e
+	}
+	for _, c := range []struct {
+		name  string
+		edges []Edge
+	}{
+		{"sorted", sorted},
+		{"trailing-inversion", trailing},
+		{"reverse-sorted", reversed},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			in := append([]Edge(nil), c.edges...)
+			g, err := FromEdges(n, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			graphsEqual(t, g, referenceGraph(n, c.edges))
+			for i := range in {
+				if in[i] != c.edges[i] {
+					t.Fatalf("FromEdges reordered its input at %d", i)
+				}
+			}
+		})
+	}
+	t.Run("sorted-adjacent-duplicate", func(t *testing.T) {
+		dup := append(append(append([]Edge(nil), sorted[:100]...), sorted[99]), sorted[100:]...)
+		if _, err := FromEdges(n, dup); err == nil {
+			t.Fatal("FromEdges accepted a sorted list with an adjacent duplicate")
+		}
+	})
+}
+
+// TestBuildStrictThenAdd checks the graph BuildStrict hands its edges to is
+// unaffected by later AddEdge and BuildStrict calls on the same builder.
+func TestBuildStrictThenAdd(t *testing.T) {
+	raw := []Edge{{5, 9}, {1, 2}, {3, 7}, {0, 8}, {4, 6}} // five: the builder's array has spare capacity
+	b := NewBuilder(10)
+	for _, e := range raw {
+		if err := b.AddEdgeStrict(e.U, e.V); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := b.BuildStrict()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := referenceGraph(10, raw)
+	more := []Edge{{0, 1}, {2, 4}}
+	for _, e := range more {
+		if err := b.AddEdgeStrict(e.U, e.V); err != nil {
+			t.Fatal(err)
+		}
+	}
+	second, err := b.BuildStrict()
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphsEqual(t, first, want)
+	graphsEqual(t, second, referenceGraph(10, append(raw, more...)))
+}

@@ -134,6 +134,7 @@ func (g *Graph) MaxDegree() int {
 // with an error; use a Builder to deduplicate noisy input instead.
 func FromEdges(numVertices int, edges []Edge) (*Graph, error) {
 	b := NewBuilder(numVertices)
+	b.edges = make([]Edge, 0, len(edges))
 	for _, e := range edges {
 		if err := b.AddEdgeStrict(e.U, e.V); err != nil {
 			return nil, err
