@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/graphpart/graphpart/internal/engine"
@@ -44,7 +45,9 @@ type ClusterOptions struct {
 // stamps into the trace-context frame; workers reject a mismatch instead of
 // guessing at frame layouts. Version 2 added the frameTrace/frameTelemetry
 // pair (version 1 was the pre-trace protocol, which had no version frame).
-const clusterProtocolVersion = 2
+// Version 3 made framePhase run a whole superstep: one empty phase frame and
+// one phase-done reply per superstep instead of one pair per phase.
+const clusterProtocolVersion = 3
 
 // RunCluster executes prog over g and a with one OS process per machine —
 // the engine's machines separated by real process and socket boundaries.
@@ -142,10 +145,8 @@ func runCluster(g *graph.Graph, a *partition.Assignment, prog engine.Program, ma
 	if err != nil {
 		return nil, engine.Stats{}, nil, err
 	}
-	for _, w := range c.workers {
-		if err := w.writeRaw(frames); err != nil {
-			return nil, engine.Stats{}, nil, fmt.Errorf("wire: spec to worker %d: %w", w.id, err)
-		}
+	if err := c.broadcastRaw(frames); err != nil {
+		return nil, engine.Stats{}, nil, err
 	}
 
 	// Collect mesh listen addresses, broadcast the table, await readiness.
@@ -183,40 +184,35 @@ func runCluster(g *graph.Graph, a *partition.Assignment, prog engine.Program, ma
 		activeMasters += int(binary.BigEndian.Uint32(payload[8:12]))
 	}
 
-	// The superstep loop: the same NumPhases-barrier schedule Run drives in
-	// process, with control frames standing in for the channel handshake.
+	// The superstep loop: one control round trip per superstep. Each worker
+	// runs the NumPhases phases Run drives in process, the mesh Flip closing
+	// every phase as the global barrier, and answers with its active-master
+	// count and cumulative traffic totals.
 	var prev engine.Totals
 	for step := 0; step < maxSupersteps && activeMasters > 0; step++ {
 		stats.Supersteps++
 		ssp := sp.Child("wire.cluster.superstep", obs.Int("step", step))
+		for _, w := range c.workers {
+			if err := w.writeFrame(framePhase, nil); err != nil {
+				return nil, engine.Stats{}, nil, fmt.Errorf("wire: superstep %d to worker %d: %w", step, w.id, err)
+			}
+		}
+		activeMasters = 0
 		var tot engine.Totals
-		for ph := 0; ph < engine.NumPhases; ph++ {
-			for _, w := range c.workers {
-				if err := w.writeFrame(framePhase, []byte{byte(ph)}); err != nil {
-					return nil, engine.Stats{}, nil, fmt.Errorf("wire: phase %d to worker %d: %w", ph, w.id, err)
-				}
+		for _, w := range c.workers {
+			payload, err := w.expect(framePhaseDone)
+			if err != nil {
+				return nil, engine.Stats{}, nil, err
 			}
-			if ph == engine.NumPhases-1 {
-				activeMasters = 0
-				tot = engine.Totals{}
+			if len(payload) != 4+totalsSize {
+				return nil, engine.Stats{}, nil, fmt.Errorf("wire: worker %d phase-done payload %d bytes, want %d", w.id, len(payload), 4+totalsSize)
 			}
-			for _, w := range c.workers {
-				payload, err := w.expect(framePhaseDone)
-				if err != nil {
-					return nil, engine.Stats{}, nil, err
-				}
-				if len(payload) != 4+totalsSize {
-					return nil, engine.Stats{}, nil, fmt.Errorf("wire: worker %d phase-done payload %d bytes, want %d", w.id, len(payload), 4+totalsSize)
-				}
-				if ph == engine.NumPhases-1 {
-					activeMasters += int(binary.BigEndian.Uint32(payload[0:4]))
-					wt, err := decodeTotals(payload[4:])
-					if err != nil {
-						return nil, engine.Stats{}, nil, fmt.Errorf("wire: worker %d: %w", w.id, err)
-					}
-					tot = addTotals(tot, wt)
-				}
+			activeMasters += int(binary.BigEndian.Uint32(payload[0:4]))
+			wt, err := decodeTotals(payload[4:])
+			if err != nil {
+				return nil, engine.Stats{}, nil, fmt.Errorf("wire: worker %d: %w", w.id, err)
 			}
+			tot = addTotals(tot, wt)
 		}
 		delta := tot.Sub(prev)
 		stats.PerStep = append(stats.PerStep, delta)
@@ -323,6 +319,29 @@ func (w *workerLink) writeRaw(frames []byte) error {
 	_ = w.conn.SetWriteDeadline(wallDeadline(clusterIOTimeout))
 	_, err := w.conn.Write(frames)
 	return err
+}
+
+// broadcastRaw writes the same pre-encoded frames to every worker at once,
+// one writer goroutine per link, and returns the lowest worker's error.
+func (c *cluster) broadcastRaw(frames []byte) error {
+	errs := make([]error, len(c.workers))
+	var wg sync.WaitGroup
+	for i, w := range c.workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := w.writeRaw(frames); err != nil {
+				errs[i] = fmt.Errorf("wire: spec to worker %d: %w", w.id, err)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // writeFrame sends one control frame with a deadline.
@@ -600,6 +619,7 @@ func runWorker(env string) error {
 
 	step := -1
 	var ssp obs.Span
+	done := make([]byte, 0, 4+totalsSize)
 	for {
 		_ = conn.SetReadDeadline(wallDeadline(clusterIOTimeout))
 		kind, payload, err := link.rd.ReadFrame()
@@ -608,26 +628,22 @@ func runWorker(env string) error {
 		}
 		switch kind {
 		case framePhase:
-			if len(payload) != 1 {
-				return fmt.Errorf("phase payload %d bytes, want 1", len(payload))
+			if len(payload) != 0 {
+				return fmt.Errorf("phase payload %d bytes, want 0", len(payload))
 			}
-			ph := int(payload[0])
-			if ph == 0 {
-				ssp.End()
-				step++
-				ssp = wsp.Child("wire.worker.superstep", obs.Int("step", step))
+			ssp.End()
+			step++
+			ssp = wsp.Child("wire.worker.superstep", obs.Int("step", step))
+			for ph := 0; ph < engine.NumPhases; ph++ {
+				psp := ssp.Child(engine.PhaseName(ph), obs.Int("step", step), obs.Int("phase", ph))
+				if err := host.Step(ph); err != nil {
+					return err
+				}
+				tr.Flip()
+				psp.End()
 			}
-			psp := ssp.Child(engine.PhaseName(ph), obs.Int("step", step), obs.Int("phase", ph))
-			if err := host.Step(ph); err != nil {
-				return err
-			}
-			tr.Flip()
-			psp.End()
-			if ph == engine.NumPhases-1 {
-				ssp.EndWith(obs.Int("active_masters", host.ActiveMasters()))
-			}
-			done := make([]byte, 0, 4+totalsSize)
-			done = binary.BigEndian.AppendUint32(done, uint32(host.ActiveMasters()))
+			ssp.EndWith(obs.Int("active_masters", host.ActiveMasters()))
+			done = binary.BigEndian.AppendUint32(done[:0], uint32(host.ActiveMasters()))
 			done = appendTotals(done, tr.Totals())
 			if err := link.writeFrame(framePhaseDone, done); err != nil {
 				return fmt.Errorf("phase-done: %w", err)

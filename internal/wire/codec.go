@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"github.com/graphpart/graphpart/internal/engine"
+	"github.com/graphpart/graphpart/internal/invariants"
 )
 
 // Message payload encodings (all integers big-endian, floats as IEEE 754
@@ -70,9 +71,68 @@ func AppendMessage(buf []byte, m engine.Message) []byte {
 }
 
 // DecodeMessage decodes the payload of a data frame of the given kind. The
-// returned message owns its memory (nothing aliases payload). off is the
-// stream offset of the frame, used to locate errors.
+// returned message owns its memory (nothing aliases payload): it is decoded
+// into a fresh slab. off is the stream offset of the frame, used to locate
+// errors.
 func DecodeMessage(kind byte, payload []byte, off int64) (engine.Message, error) {
+	var s slab
+	return s.decode(kind, payload, off)
+}
+
+// slab is the decode arena of one barrier-delimited batch on one incoming
+// link: the message structs and the backing arrays of every GatherFlush's
+// Slots and Contribs. The TCP reader keeps two per link and alternates them
+// by batch-sequence parity, so steady-state batches decode without
+// allocating (DESIGN.md §14 gives the lifetime argument). A slab only grows:
+// when an array is outgrown mid-batch, messages already decoded keep
+// pointing into the old array, which stays valid for them.
+type slab struct {
+	msgs      []engine.Message
+	gathers   []engine.GatherFlush
+	applies   []engine.ApplyBroadcast
+	activates []engine.Activate
+	slots     []int32
+	contribs  []float64
+}
+
+// reset empties s for the next batch, keeping its capacity. Sanitizer builds
+// first poison every message of the previous batch — local ids -1,
+// contributions and values NaN — so a consumer that outlived its phase
+// indexes out of range or propagates NaN instead of reading the next batch.
+func (s *slab) reset() {
+	if invariants.Enabled {
+		for _, m := range s.msgs {
+			switch m := m.(type) {
+			case *engine.GatherFlush:
+				m.MasterLocal = -1
+				for i := range m.Slots {
+					m.Slots[i] = -1
+					m.Contribs[i] = math.NaN()
+				}
+			case *engine.ApplyBroadcast:
+				m.MirrorLocal = -1
+				m.Value = math.NaN()
+			case *engine.Activate:
+				m.Local = -1
+			}
+		}
+	}
+	s.msgs = s.msgs[:0]
+	s.gathers = s.gathers[:0]
+	s.applies = s.applies[:0]
+	s.activates = s.activates[:0]
+	s.slots = s.slots[:0]
+	s.contribs = s.contribs[:0]
+}
+
+// decode decodes the payload of a data frame of the given kind into s,
+// appends the message to s.msgs and returns it. The message aliases s's
+// arrays, never payload. off is the stream offset of the frame, used to
+// locate errors.
+//
+//graphpart:hotpath test=TestHotPathAllocs_TCPSuperstep
+func (s *slab) decode(kind byte, payload []byte, off int64) (engine.Message, error) {
+	var m engine.Message
 	switch kind {
 	case frameGather:
 		if len(payload) < 8 {
@@ -84,17 +144,22 @@ func DecodeMessage(kind byte, payload []byte, off int64) (engine.Message, error)
 			return nil, frameErrorf(off, "gather payload %d bytes does not match count %d (want %d)",
 				len(payload), count, want)
 		}
-		m := &engine.GatherFlush{
-			MasterLocal: int32(binary.BigEndian.Uint32(payload[0:4])),
-			Slots:       make([]int32, count),
-			Contribs:    make([]float64, count),
-		}
-		for i := uint32(0); i < count; i++ {
+		lo := len(s.slots)
+		hi := lo + int(count)
+		s.slots = grow(s.slots, hi)
+		s.contribs = grow(s.contribs, hi)
+		slots, contribs := s.slots[lo:hi:hi], s.contribs[lo:hi:hi]
+		for i := range slots {
 			p := payload[8+12*i:]
-			m.Slots[i] = int32(binary.BigEndian.Uint32(p[0:4]))
-			m.Contribs[i] = math.Float64frombits(binary.BigEndian.Uint64(p[4:12]))
+			slots[i] = int32(binary.BigEndian.Uint32(p[0:4]))
+			contribs[i] = math.Float64frombits(binary.BigEndian.Uint64(p[4:12]))
 		}
-		return m, nil
+		s.gathers = append(s.gathers, engine.GatherFlush{
+			MasterLocal: int32(binary.BigEndian.Uint32(payload[0:4])),
+			Slots:       slots,
+			Contribs:    contribs,
+		})
+		m = &s.gathers[len(s.gathers)-1]
 	case frameApply:
 		if len(payload) != 13 {
 			return nil, frameErrorf(off, "apply payload %d bytes, want 13", len(payload))
@@ -103,18 +168,31 @@ func DecodeMessage(kind byte, payload []byte, off int64) (engine.Message, error)
 		if flags&^(applyFlagChanged|applyFlagActive) != 0 {
 			return nil, frameErrorf(off, "apply flags byte %#02x has undefined bits set", flags)
 		}
-		return &engine.ApplyBroadcast{
+		s.applies = append(s.applies, engine.ApplyBroadcast{
 			MirrorLocal: int32(binary.BigEndian.Uint32(payload[0:4])),
 			Value:       math.Float64frombits(binary.BigEndian.Uint64(payload[4:12])),
 			Changed:     flags&applyFlagChanged != 0,
 			Active:      flags&applyFlagActive != 0,
-		}, nil
+		})
+		m = &s.applies[len(s.applies)-1]
 	case frameActivate:
 		if len(payload) != 4 {
 			return nil, frameErrorf(off, "activate payload %d bytes, want 4", len(payload))
 		}
-		return &engine.Activate{Local: int32(binary.BigEndian.Uint32(payload))}, nil
+		s.activates = append(s.activates, engine.Activate{Local: int32(binary.BigEndian.Uint32(payload))})
+		m = &s.activates[len(s.activates)-1]
 	default:
 		return nil, frameErrorf(off, "unknown data frame kind %#02x", kind)
 	}
+	s.msgs = append(s.msgs, m)
+	return m, nil
+}
+
+// grow returns buf extended to length n, reallocating (with append's
+// amortised growth) only when n exceeds its capacity.
+func grow[T any](buf []T, n int) []T {
+	if n <= cap(buf) {
+		return buf[:n]
+	}
+	return append(buf[:cap(buf)], make([]T, n-cap(buf))...)
 }

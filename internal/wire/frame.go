@@ -43,7 +43,9 @@ const (
 	// sender machine id.
 	frameHello byte = 0x11
 
-	// Cluster control frames (coordinator <-> worker), see cluster.go.
+	// Cluster control frames (coordinator <-> worker), see cluster.go. An
+	// empty framePhase asks a worker to run one whole superstep (every
+	// phase, each closed by a mesh Flip); framePhaseDone is its reply.
 	frameSpec      byte = 0x20
 	frameAddr      byte = 0x21
 	frameAddrs     byte = 0x22
@@ -82,6 +84,7 @@ func (e *FrameError) Error() string {
 
 // frameErrorf builds a FrameError at offset off.
 func frameErrorf(off int64, format string, args ...any) *FrameError {
+	//lint:ignore GL010 error path: a malformed frame ends its stream, so this formats at most once per link
 	return &FrameError{Offset: off, Reason: fmt.Sprintf(format, args...)}
 }
 
@@ -90,12 +93,18 @@ func frameErrorf(off int64, format string, args ...any) *FrameError {
 type Reader struct {
 	br  *bufio.Reader
 	off int64
+	hdr [4]byte // a field, not a local: io.ReadFull would move a local to the heap per frame
 	buf []byte
 }
 
+// readerBufSize is the Reader's buffer: 64 KiB keeps the read syscalls of a
+// bulk data link to a few per megabyte (bufio's 4 KiB default costs ~16x as
+// many).
+const readerBufSize = 64 << 10
+
 // NewReader returns a frame reader over r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{br: bufio.NewReader(r)}
+	return &Reader{br: bufio.NewReaderSize(r, readerBufSize)}
 }
 
 // Offset returns the stream offset of the next unread byte.
@@ -108,14 +117,14 @@ func (r *Reader) Offset() int64 { return r.off }
 // I/O error.
 func (r *Reader) ReadFrame() (kind byte, payload []byte, err error) {
 	start := r.off
-	var hdr [4]byte
-	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
+	hdr := r.hdr[:]
+	if _, err := io.ReadFull(r.br, hdr); err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
 		return 0, nil, frameErrorf(start, "truncated length prefix: %v", err)
 	}
-	length := binary.BigEndian.Uint32(hdr[:])
+	length := binary.BigEndian.Uint32(hdr)
 	if length < 1 {
 		return 0, nil, frameErrorf(start, "frame length %d is below the 1-byte minimum (kind byte)", length)
 	}

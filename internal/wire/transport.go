@@ -51,9 +51,6 @@ type TCPTransport struct {
 	// conns/writers[from][to]: outgoing framed links for local senders.
 	conns   [][]net.Conn
 	writers [][]*meshWriter
-	// sendBuf[from] is the per-sender encode scratch (machine from's
-	// goroutine is its only writer).
-	sendBuf [][]byte
 	// inConns are the accepted sides, kept for Close.
 	inConns []net.Conn
 
@@ -89,22 +86,15 @@ type TCPTransport struct {
 	readers sync.WaitGroup
 }
 
-// meshWriter is a small buffered writer; bufio.Writer is avoided so a
-// short barrier frame can be flushed without a second syscall path.
+// meshWriter is one outgoing link's write buffer: Send encodes frames
+// straight into buf and flushes once it passes meshWriterFlushAt; Flip
+// appends the barrier frame and flushes the rest.
 type meshWriter struct {
 	conn net.Conn
 	buf  []byte
 }
 
 const meshWriterFlushAt = 32 << 10
-
-func (w *meshWriter) write(frame []byte) error {
-	w.buf = append(w.buf, frame...)
-	if len(w.buf) >= meshWriterFlushAt {
-		return w.flush()
-	}
-	return nil
-}
 
 func (w *meshWriter) flush() error {
 	if len(w.buf) == 0 {
@@ -126,7 +116,6 @@ func newMesh(p int, localIDs []int) (*TCPTransport, error) {
 		listeners: make([]net.Listener, p),
 		conns:     make([][]net.Conn, p),
 		writers:   make([][]*meshWriter, p),
-		sendBuf:   make([][]byte, p),
 		msgs:      make([][]int64, p),
 		bytes:     make([][]int64, p),
 		kindMsgs:  make([][kindCount]int64, p),
@@ -323,17 +312,30 @@ func (t *TCPTransport) acceptLoop(k int, ch chan<- accepted) {
 	}
 }
 
-// readLoop consumes one incoming link: data frames accumulate into the
-// current batch; a barrier frame banks the batch under mu for Flip.
+// readLoop consumes one incoming link: data frames decode into the current
+// batch's slab; a barrier frame banks the batch under mu for Flip.
+//
+// Batch s decodes into slabs[s&1]. The slab is reset only when the first
+// frame of batch s+2 arrives, and that frame cannot arrive before the
+// receiver has consumed batch s: the sender writes phase s+2 only after its
+// Flip s+1 returns, which waits for the receiver's barrier s+1, which the
+// receiver's Flip s+1 sends only after the phase that drained batch s.
 func (t *TCPTransport) readLoop(from, to int, rd *Reader) {
 	defer t.readers.Done()
-	var cur []engine.Message
+	var slabs [2]slab
+	next := uint32(1) // sequence number of the batch being decoded
+	fresh := true     // no frame of batch next has arrived yet
 	for {
 		start := rd.Offset()
 		kind, payload, err := rd.ReadFrame()
 		if err != nil {
 			t.fail(fmt.Errorf("wire: link %d->%d: %w", from, to, err))
 			return
+		}
+		s := &slabs[next&1]
+		if fresh {
+			s.reset()
+			fresh = false
 		}
 		if kind == frameBarrier {
 			if len(payload) != 4 {
@@ -342,18 +344,16 @@ func (t *TCPTransport) readLoop(from, to int, rd *Reader) {
 			}
 			seq := binary.BigEndian.Uint32(payload)
 			t.mu.Lock()
-			t.ready[from][to] = append(t.ready[from][to], batch{seq: seq, msgs: cur})
-			cur = nil
+			t.ready[from][to] = append(t.ready[from][to], batch{seq: seq, msgs: s.msgs})
 			t.cond.Broadcast()
 			t.mu.Unlock()
+			next, fresh = seq+1, true
 			continue
 		}
-		m, err := DecodeMessage(kind, payload, start)
-		if err != nil {
+		if _, err := s.decode(kind, payload, start); err != nil {
 			t.fail(fmt.Errorf("wire: link %d->%d: %w", from, to, err))
 			return
 		}
-		cur = append(cur, m)
 	}
 }
 
@@ -378,12 +378,15 @@ func (t *TCPTransport) Send(from, to int, m engine.Message) {
 		t.account(from, to, m, FramedSize(m))
 		return
 	}
-	buf := AppendMessage(t.sendBuf[from][:0], m)
-	t.sendBuf[from] = buf[:0]
-	if err := t.writers[from][to].write(buf); err != nil {
-		panic(fmt.Sprintf("wire: send on link %d->%d: %v", from, to, err))
+	w := t.writers[from][to]
+	before := len(w.buf)
+	w.buf = AppendMessage(w.buf, m)
+	t.account(from, to, m, len(w.buf)-before)
+	if len(w.buf) >= meshWriterFlushAt {
+		if err := w.flush(); err != nil {
+			panic(fmt.Sprintf("wire: send on link %d->%d: %v", from, to, err))
+		}
 	}
-	t.account(from, to, m, len(buf))
 }
 
 // account books one message on the sender's single-writer counter row.
@@ -402,21 +405,15 @@ func (t *TCPTransport) account(from, to int, m engine.Message, framed int) {
 // doubles as the data-plane phase barrier.
 func (t *TCPTransport) Flip() {
 	t.seq++
-	var scratch [FrameHeaderSize + 4]byte
 	for _, from := range t.localIDs {
 		for to := 0; to < t.p; to++ {
 			if w := t.writers[from][to]; w != nil {
-				frame := appendFrameHeader(scratch[:0], frameBarrier, 4)
-				frame = binary.BigEndian.AppendUint32(frame, t.seq)
-				if err := w.write(frame); err == nil {
-					err = w.flush()
-					if err != nil {
-						panic(fmt.Sprintf("wire: barrier flush on link %d->%d: %v", from, to, err))
-					}
-				} else {
+				w.buf = appendFrameHeader(w.buf, frameBarrier, 4)
+				w.buf = binary.BigEndian.AppendUint32(w.buf, t.seq)
+				if err := w.flush(); err != nil {
 					panic(fmt.Sprintf("wire: barrier on link %d->%d: %v", from, to, err))
 				}
-				t.controlBytes.Add(int64(len(frame)))
+				t.controlBytes.Add(FrameHeaderSize + 4)
 			}
 		}
 		if len(t.pendingSelf[from]) > 0 {
@@ -448,7 +445,9 @@ func (t *TCPTransport) Flip() {
 			if b.seq != t.seq {
 				panic(fmt.Sprintf("wire: link %d->%d delivered barrier %d during Flip %d", from, to, b.seq, t.seq))
 			}
-			t.ready[from][to] = q[1:]
+			// Shift in place (at most two batches are ever queued) so
+			// the queue reuses its backing array.
+			t.ready[from][to] = q[:copy(q, q[1:])]
 			if len(b.msgs) > 0 {
 				t.delivered[from][to] = append(t.delivered[from][to], b.msgs...)
 			}

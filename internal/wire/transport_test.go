@@ -1,6 +1,7 @@
 package wire_test
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/graphpart/graphpart/internal/engine"
@@ -116,5 +117,65 @@ func TestTCPLocalMachines(t *testing.T) {
 	}
 	if got := lone.LocalMachines(); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("LocalMachines() = %v, want [2]", got)
+	}
+}
+
+// slabMsg is message i of batch on link from->(1-from): every kind, with
+// gather flushes of varying width, all fields derived from the arguments.
+func slabMsg(batch, from, i int) engine.Message {
+	id := int32(batch*1000000 + from*100000 + i)
+	switch i % 3 {
+	case 0:
+		width := (i + batch) % 9
+		m := &engine.GatherFlush{MasterLocal: id, Slots: make([]int32, width), Contribs: make([]float64, width)}
+		for j := range m.Slots {
+			m.Slots[j] = int32(2*j + batch)
+			m.Contribs[j] = float64(id) / float64(j+3)
+		}
+		return m
+	case 1:
+		return &engine.ApplyBroadcast{MirrorLocal: id, Value: float64(id) / 7, Changed: i%2 == 0, Active: i%4 == 1}
+	default:
+		return &engine.Activate{Local: id}
+	}
+}
+
+// TestTCPSlabReuse drives both directions of a 2-mesh through six flips
+// whose batch sizes force the receive slabs to grow (and later shrink back
+// under a larger high-water mark). After each Flip the peers' next batch is
+// sent before the drained batch is checked, so its frames cross the socket
+// and decode into the other slab while the checked messages are still in
+// use; every drained message must re-encode to exactly what was sent. Under
+// -race an overlapping reuse is a reported race, and under the
+// graphpart_invariants tag the poisoned slab fails the comparison.
+func TestTCPSlabReuse(t *testing.T) {
+	tr := newTCP(t, 2)
+	sizes := []int{3, 40, 900, 12000, 20, 15000}
+	send := func(batch int) {
+		for from := 0; from < 2; from++ {
+			for i := 0; i < sizes[batch]; i++ {
+				tr.Send(from, 1-from, slabMsg(batch, from, i))
+			}
+		}
+	}
+	send(0)
+	tr.Flip()
+	for batch := range sizes {
+		got := [2][]engine.Message{tr.Drain(0), tr.Drain(1)}
+		if batch+1 < len(sizes) {
+			send(batch + 1) // in flight: large batches flush while we check
+		}
+		for to, msgs := range got {
+			if len(msgs) != sizes[batch] {
+				t.Fatalf("batch %d inbox %d: drained %d messages, want %d", batch, to, len(msgs), sizes[batch])
+			}
+			for i, m := range msgs {
+				want := wire.AppendMessage(nil, slabMsg(batch, 1-to, i))
+				if got := wire.AppendMessage(nil, m); !bytes.Equal(got, want) {
+					t.Fatalf("batch %d inbox %d message %d: got %x, want %x", batch, to, i, got, want)
+				}
+			}
+		}
+		tr.Flip()
 	}
 }
