@@ -154,7 +154,10 @@ type Engine = engine.Engine
 // EngineStats aggregates engine execution counters.
 type EngineStats = engine.Stats
 
-// Program is a GAS vertex program.
+// Program is a GAS vertex program. Its Gather(value, degree) is the
+// contribution a vertex sends along each of its edges: a pure function of
+// the sender's value and degree, which the engine computes once per value
+// and reuses for every arc.
 type Program = engine.Program
 
 // NewEngine builds an engine from a complete edge partitioning.

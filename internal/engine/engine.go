@@ -37,9 +37,13 @@ type Program interface {
 	Name() string
 	// Init returns vertex v's value before the first superstep.
 	Init(v graph.Vertex, degree int) float64
-	// Gather produces the contribution of edge (v, u) to v's
-	// accumulator, given u's current value and degree.
-	Gather(v, u graph.Vertex, uValue float64, uDegree int) float64
+	// Gather returns the contribution a vertex with the given value and
+	// degree sends along each of its edges; a vertex's accumulator folds
+	// the contributions of its neighbours. It must be a pure function of
+	// its two arguments: machines compute it once per replica value and
+	// reuse the result for every arc and every superstep until the value
+	// changes.
+	Gather(value float64, degree int) float64
 	// Sum combines two gather contributions (must be commutative and
 	// associative).
 	Sum(a, b float64) float64
@@ -187,7 +191,7 @@ func New(g *graph.Graph, a *partition.Assignment) (*Engine, error) {
 			k, _ := a.PartitionOf(id)
 			m, x, u := e.machines[k], nArcs[k], nbrs[j]
 			nArcs[k]++
-			m.nbr[x], m.slot[x] = u, int32(j)
+			m.slot[x] = int32(j)
 			for _, r := range reps[repOff[u]:repOff[u+1]] {
 				if r.k == int32(k) {
 					m.loc[x] = r.lid
@@ -387,9 +391,9 @@ func RunSequential(g *graph.Graph, prog Program, maxSupersteps int) ([]float64, 
 				continue
 			}
 			nbrs := g.Neighbors(graph.Vertex(v))
-			sum := prog.Gather(graph.Vertex(v), nbrs[0], values[nbrs[0]], degree[nbrs[0]])
+			sum := prog.Gather(values[nbrs[0]], degree[nbrs[0]])
 			for _, u := range nbrs[1:] {
-				sum = prog.Sum(sum, prog.Gather(graph.Vertex(v), u, values[u], degree[u]))
+				sum = prog.Sum(sum, prog.Gather(values[u], degree[u]))
 			}
 			gathered[v] = sum
 		}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/graphpart/graphpart/internal/graph"
 	"github.com/graphpart/graphpart/internal/invariants"
@@ -38,6 +39,24 @@ func assertStepBalanced(machines []*machine, step int, delta Totals) {
 	}
 	invariants.Assertf(received == delta.Messages(),
 		"superstep %d: transport sent %d messages but machines drained %d", step, delta.Messages(), received)
+}
+
+// assertMsgCached checks that every replica's cached message equals
+// prog.Gather(value, degree) bit for bit, so a write of value that skipped
+// the refresh cannot feed gather a stale contribution. Called at the top of
+// gather. No-op unless built with -tags graphpart_invariants.
+func assertMsgCached(m *machine) {
+	if !invariants.Enabled {
+		return
+	}
+	for i, v := range m.value {
+		// Format only on failure: boxing the arguments would allocate on
+		// the hot path the allocation tests also run in sanitizer builds.
+		if want := m.prog.Gather(v, int(m.degree[i])); math.Float64bits(m.msg[i]) != math.Float64bits(want) {
+			invariants.Assertf(false, "machine %d: vertex %d caches message %v, Gather(%v, %d) = %v",
+				m.id, m.verts[i], m.msg[i], v, m.degree[i], want)
+		}
+	}
 }
 
 // assertTrafficConsistent checks the run's per-link traffic matrix against
@@ -98,7 +117,7 @@ func (e *Engine) machinesStructureOK(a *partition.Assignment) error {
 				if int(s) >= len(nbrs) || x > m.off[i] && m.slot[x-1] >= s {
 					return fmt.Errorf("vertex %d: machine %d row is not in strictly ascending slot order", v, k)
 				}
-				if pk, _ := a.PartitionOf(eids[s]); pk != k || m.nbr[x] != nbrs[s] || m.verts[m.loc[x]] != nbrs[s] {
+				if pk, _ := a.PartitionOf(eids[s]); pk != k || m.verts[m.loc[x]] != nbrs[s] {
 					return fmt.Errorf("vertex %d: machine %d arc %d (slot %d) does not match the graph", v, k, x, s)
 				}
 			}

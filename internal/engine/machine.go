@@ -49,11 +49,10 @@ type machine struct {
 	// masterMachine[i] is the machine holding verts[i]'s master replica.
 	masterMachine []int32
 	// off indexes the local arcs: verts[i]'s arcs on this partition are
-	// nbr/loc/slot[off[i]:off[i+1]], in ascending canonical slot order. nbr
-	// holds the neighbour's global id, loc its local id and slot the arc's
-	// index in the vertex's globally sorted neighbour list.
+	// loc/slot[off[i]:off[i+1]], in ascending canonical slot order. loc
+	// holds the neighbour's local id and slot the arc's index in the
+	// vertex's globally sorted neighbour list.
 	off  []int32
-	nbr  []graph.Vertex
 	loc  []int32
 	slot []int32
 	// accOff indexes acc. A master's range (degree entries) is its dense
@@ -80,6 +79,11 @@ type machine struct {
 
 	// value[i] is the local replica value of verts[i].
 	value []float64
+	// msg[i] caches prog.Gather(value[i], degree[i]), the contribution
+	// verts[i] sends along each of its local arcs. Every write of value[i]
+	// (reset, a master's apply, a mirror's broadcast in scatter) refreshes
+	// it, so gather copies it per arc instead of calling the program.
+	msg []float64
 	// active[i] is this superstep's activation; nextActive accumulates the
 	// next superstep's during apply/scatter/activate.
 	active     []bool
@@ -104,10 +108,11 @@ func newMachine(id int, verts, arcs, acc, mirrors int32) *machine {
 	return &machine{id: id,
 		verts: make([]graph.Vertex, verts), degree: make([]int32, verts), masterMachine: make([]int32, verts),
 		off: make([]int32, verts+1), accOff: make([]int32, verts+1), mirOff: make([]int32, verts+1),
-		nbr: make([]graph.Vertex, arcs), loc: make([]int32, arcs), slot: make([]int32, arcs),
+		loc: make([]int32, arcs), slot: make([]int32, arcs),
 		acc:     make([]float64, acc),
 		mirMach: make([]int32, mirrors), bcast: make([]ApplyBroadcast, mirrors), fan: make([]Activate, mirrors),
-		flush: make([]GatherFlush, verts), notice: make([]Activate, verts), value: make([]float64, verts),
+		flush: make([]GatherFlush, verts), notice: make([]Activate, verts),
+		value: make([]float64, verts), msg: make([]float64, verts),
 		active: make([]bool, verts), nextActive: make([]bool, verts),
 		changed: make([]bool, verts), bcastActive: make([]bool, verts),
 	}
@@ -147,37 +152,39 @@ func (m *machine) step(ph int) {
 func (m *machine) reset(prog Program, tr Transport) {
 	m.prog, m.tr = prog, tr
 	for i, v := range m.verts {
-		m.value[i] = prog.Init(v, int(m.degree[i]))
+		d := int(m.degree[i])
+		m.value[i] = prog.Init(v, d)
+		m.msg[i] = prog.Gather(m.value[i], d)
 		m.nextActive[i] = true
 	}
 	m.promote()
 }
 
-// gather computes this machine's per-arc contributions for every active
-// local replica. Masters write straight into their dense accumulator;
-// mirrors fill their reusable flush and send it to the master machine.
+// gather collects this machine's per-arc contributions for every active
+// local replica: each arc carries its neighbour's cached msg. Masters write
+// straight into their dense accumulator; mirrors fill their reusable flush
+// and send it to the master machine.
 //
 //graphpart:hotpath test=TestHotPathAllocs_Superstep
 func (m *machine) gather() {
-	prog, value, degree := m.prog, m.value, m.degree
-	for i, v := range m.verts {
-		if !m.active[i] {
+	assertMsgCached(m)
+	msg := m.msg
+	for i, a := range m.active {
+		if !a {
 			continue
 		}
 		lo, hi := m.off[i], m.off[i+1]
-		nbrs, locs := m.nbr[lo:hi], m.loc[lo:hi]
+		locs := m.loc[lo:hi]
 		if m.isMaster(i) {
 			acc, slots := m.acc[m.accOff[i]:m.accOff[i+1]], m.slot[lo:hi]
-			for j, u := range nbrs {
-				l := locs[j]
-				acc[slots[j]] = prog.Gather(v, u, value[l], int(degree[l]))
+			for j, l := range locs {
+				acc[slots[j]] = msg[l]
 			}
 		} else {
 			f := &m.flush[i]
-			contribs := f.Contribs[:len(nbrs)]
-			for j, u := range nbrs {
-				l := locs[j]
-				contribs[j] = prog.Gather(v, u, value[l], int(degree[l]))
+			contribs := f.Contribs[:len(locs)]
+			for j, l := range locs {
+				contribs[j] = msg[l]
 			}
 			m.tr.Send(m.id, int(m.masterMachine[i]), f)
 		}
@@ -186,8 +193,8 @@ func (m *machine) gather() {
 
 // apply drains mirror flushes into the accumulators, folds each active
 // mastered vertex's accumulator in canonical slot order (bit-identical to a
-// sequential fold over the sorted neighbour list), applies, and broadcasts
-// the outcome to every mirror.
+// sequential fold over the sorted neighbour list), applies, refreshes the
+// master's cached message, and broadcasts the outcome to every mirror.
 //
 //graphpart:hotpath test=TestHotPathAllocs_Superstep
 func (m *machine) apply() {
@@ -208,10 +215,10 @@ func (m *machine) apply() {
 		for _, c := range acc[1:] {
 			sum = prog.Sum(sum, c)
 		}
-		old := m.value[i]
-		nv := prog.Apply(v, old, sum, int(m.degree[i]))
+		old, d := m.value[i], int(m.degree[i])
+		nv := prog.Apply(v, old, sum, d)
 		conv := prog.Converged(old, nv)
-		m.value[i] = nv
+		m.value[i], m.msg[i] = nv, prog.Gather(nv, d)
 		m.changed[i] = !conv
 		m.bcastActive[i] = !conv
 		m.nextActive[i] = !conv
@@ -223,18 +230,18 @@ func (m *machine) apply() {
 	}
 }
 
-// scatter drains broadcasts (updating mirror values, changed flags and
-// master-decided activation), then wakes the local neighbours of every
-// changed replica. A wake of a vertex whose master may believe it inactive
-// is escalated with an Activate notice to the master machine; the
-// nextActive flag doubles as the per-machine dedup.
+// scatter drains broadcasts (updating mirror values and their cached
+// messages, changed flags and master-decided activation), then wakes the
+// local neighbours of every changed replica. A wake of a vertex whose
+// master may believe it inactive is escalated with an Activate notice to
+// the master machine; the nextActive flag doubles as the per-machine dedup.
 //
 //graphpart:hotpath test=TestHotPathAllocs_Superstep
 func (m *machine) scatter() {
 	for _, msg := range m.drainInbox() {
 		b := msg.(*ApplyBroadcast)
 		i := b.MirrorLocal
-		m.value[i] = b.Value
+		m.value[i], m.msg[i] = b.Value, m.prog.Gather(b.Value, int(m.degree[i]))
 		m.changed[i] = b.Changed
 		if b.Active {
 			m.nextActive[i] = true

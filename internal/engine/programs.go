@@ -38,13 +38,13 @@ func (p *PageRank) Name() string { return "pagerank" }
 // Init implements Program.
 func (p *PageRank) Init(_ graph.Vertex, _ int) float64 { return 1.0 / float64(p.N) }
 
-// Gather implements Program: neighbour u contributes its rank split across
-// its degree.
-func (p *PageRank) Gather(_, _ graph.Vertex, uValue float64, uDegree int) float64 {
-	if uDegree == 0 {
+// Gather implements Program: a vertex sends its rank split across its
+// degree.
+func (p *PageRank) Gather(value float64, degree int) float64 {
+	if degree == 0 {
 		return 0
 	}
-	return uValue / float64(uDegree)
+	return value / float64(degree)
 }
 
 // Sum implements Program.
@@ -77,10 +77,9 @@ func (s *SSSP) Init(v graph.Vertex, _ int) float64 {
 	return math.Inf(1)
 }
 
-// Gather implements Program: distance through neighbour u.
-func (s *SSSP) Gather(_, _ graph.Vertex, uValue float64, _ int) float64 {
-	return uValue + 1
-}
+// Gather implements Program: a vertex offers its neighbours the distance
+// through itself.
+func (s *SSSP) Gather(value float64, _ int) float64 { return value + 1 }
 
 // Sum implements Program: shortest wins.
 func (s *SSSP) Sum(a, b float64) float64 { return math.Min(a, b) }
@@ -104,8 +103,8 @@ func (c *Components) Name() string { return "components" }
 // Init implements Program.
 func (c *Components) Init(v graph.Vertex, _ int) float64 { return float64(v) }
 
-// Gather implements Program.
-func (c *Components) Gather(_, _ graph.Vertex, uValue float64, _ int) float64 { return uValue }
+// Gather implements Program: a vertex sends its label.
+func (c *Components) Gather(value float64, _ int) float64 { return value }
 
 // Sum implements Program.
 func (c *Components) Sum(a, b float64) float64 { return math.Min(a, b) }

@@ -17,7 +17,7 @@ func (d *degreeCount) Name() string { return "degree-count" }
 func (d *degreeCount) Init(_ graph.Vertex, _ int) float64 { return 0 }
 
 // Gather implements Program: each incident edge contributes one.
-func (d *degreeCount) Gather(_, _ graph.Vertex, _ float64, _ int) float64 { return 1 }
+func (d *degreeCount) Gather(_ float64, _ int) float64 { return 1 }
 
 // Sum implements Program.
 func (d *degreeCount) Sum(a, b float64) float64 { return a + b }

@@ -12,12 +12,12 @@ import (
 // describes.
 type churn struct{}
 
-func (churn) Name() string                                         { return "churn" }
-func (churn) Init(v graph.Vertex, degree int) float64              { return float64(v) }
-func (churn) Gather(v, u graph.Vertex, uv float64, ud int) float64 { return uv }
-func (churn) Sum(a, b float64) float64                             { return a + b }
-func (churn) Apply(v graph.Vertex, old, g float64, d int) float64  { return g + 1 }
-func (churn) Converged(old, new float64) bool                      { return false }
+func (churn) Name() string                                        { return "churn" }
+func (churn) Init(v graph.Vertex, degree int) float64             { return float64(v) }
+func (churn) Gather(value float64, degree int) float64            { return value }
+func (churn) Sum(a, b float64) float64                            { return a + b }
+func (churn) Apply(v graph.Vertex, old, g float64, d int) float64 { return g + 1 }
+func (churn) Converged(old, new float64) bool                     { return false }
 
 func roundRobin(g *graph.Graph, p int) *partition.Assignment {
 	a := partition.MustNew(g.NumEdges(), p)

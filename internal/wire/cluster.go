@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -27,6 +28,12 @@ const EnvWorker = "GRAPHPART_WIRE_WORKER"
 // deliberately generous: a phase on a large graph can take a while, and the
 // timeout only needs to catch a dead peer, not a slow one.
 const clusterIOTimeout = 2 * time.Minute
+
+// maxMachines bounds a cluster's machine count. Every machine is a worker
+// process with a data connection to every other one, so a larger cluster
+// cannot open its mesh on one host; the bound also keeps a malformed spec
+// header from sizing a worker's per-machine tables.
+const maxMachines = 1024
 
 // specChunk is the number of edges (or edge parts) per spec stream chunk
 // frame: 65536 edges is a 512 KiB edges frame, far below MaxFrameSize.
@@ -86,6 +93,9 @@ func runCluster(g *graph.Graph, a *partition.Assignment, prog engine.Program, ma
 		return nil, engine.Stats{}, nil, err
 	}
 	p := a.P()
+	if p > maxMachines {
+		return nil, engine.Stats{}, nil, fmt.Errorf("wire: %d machines, a cluster runs at most %d", p, maxMachines)
+	}
 	if a.NumEdges() != g.NumEdges() {
 		return nil, engine.Stats{}, nil, fmt.Errorf("wire: assignment covers %d edges, graph has %d", a.NumEdges(), g.NumEdges())
 	}
@@ -670,7 +680,10 @@ func runWorker(env string) error {
 }
 
 // readSpec consumes the spec stream (header, edge chunks, part chunks) and
-// rebuilds the graph, assignment and program.
+// rebuilds the graph, assignment and program. A malformed or truncated
+// stream fails with an error, not a panic: the header's counts are checked
+// before anything is sized from them, and the edge buffer grows one
+// received chunk at a time, so a header cannot claim edges it never sends.
 func readSpec(link *workerLink) (*graph.Graph, *partition.Assignment, engine.Program, error) {
 	payload, err := link.expect(frameSpec)
 	if err != nil {
@@ -679,37 +692,55 @@ func readSpec(link *workerLink) (*graph.Graph, *partition.Assignment, engine.Pro
 	if len(payload) != 4+4+programSpecSize+4+4 {
 		return nil, nil, nil, fmt.Errorf("spec payload %d bytes, want %d", len(payload), 4+4+programSpecSize+4+4)
 	}
-	p := int(binary.BigEndian.Uint32(payload[0:4]))
+	p := binary.BigEndian.Uint32(payload[0:4])
+	n := binary.BigEndian.Uint32(payload[8+programSpecSize : 12+programSpecSize])
+	m := binary.BigEndian.Uint32(payload[12+programSpecSize : 16+programSpecSize])
+	if p < 1 || p > maxMachines {
+		return nil, nil, nil, fmt.Errorf("spec header: %d machines, want 1..%d", p, maxMachines)
+	}
+	if n > math.MaxInt32 || m > math.MaxInt32 {
+		return nil, nil, nil, fmt.Errorf("spec header: %d vertices and %d edges, want at most %d each", n, m, math.MaxInt32)
+	}
 	spec, err := decodeProgramSpec(payload[8 : 8+programSpecSize])
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	n := int(binary.BigEndian.Uint32(payload[8+programSpecSize : 12+programSpecSize]))
-	m := int(binary.BigEndian.Uint32(payload[12+programSpecSize : 16+programSpecSize]))
 	prog, err := spec.Build()
 	if err != nil {
 		return nil, nil, nil, err
 	}
 
-	edges := make([]graph.Edge, m)
-	if err := readChunks(link, frameEdges, m, 8, func(i int, b []byte) {
-		edges[i] = graph.Edge{
-			U: graph.Vertex(binary.BigEndian.Uint32(b[0:4])),
-			V: graph.Vertex(binary.BigEndian.Uint32(b[4:8])),
+	var edges []graph.Edge
+	if err := readChunks(link, frameEdges, int(m), 8, func(_ int, items []byte) error {
+		edges = slices.Grow(edges, len(items)/8)
+		for b := items; len(b) > 0; b = b[8:] {
+			edges = append(edges, graph.Edge{
+				U: graph.Vertex(binary.BigEndian.Uint32(b[0:4])),
+				V: graph.Vertex(binary.BigEndian.Uint32(b[4:8])),
+			})
 		}
+		return nil
 	}); err != nil {
 		return nil, nil, nil, err
 	}
-	g, err := graph.FromEdges(n, edges)
+	g, err := graph.FromEdges(int(n), edges)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("spec edges: %w", err)
 	}
-	a, err := partition.New(m, p)
+	// Every edge has arrived, so m is backed by received bytes.
+	a, err := partition.New(int(m), int(p))
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if err := readChunks(link, frameParts, m, 4, func(i int, b []byte) {
-		a.Assign(graph.EdgeID(i), int(binary.BigEndian.Uint32(b)))
+	if err := readChunks(link, frameParts, int(m), 4, func(start int, items []byte) error {
+		for i := 0; i < len(items); i += 4 {
+			k := binary.BigEndian.Uint32(items[i : i+4])
+			if k >= p {
+				return fmt.Errorf("spec parts: edge %d in part %d, want < %d", start+i/4, k, p)
+			}
+			a.Assign(graph.EdgeID(start+i/4), int(k))
+		}
+		return nil
 	}); err != nil {
 		return nil, nil, nil, err
 	}
@@ -717,8 +748,9 @@ func readSpec(link *workerLink) (*graph.Graph, *partition.Assignment, engine.Pro
 }
 
 // readChunks consumes the chunk frames covering m items of itemSize bytes,
-// invoking fn for each item in order.
-func readChunks(link *workerLink, kind byte, m, itemSize int, fn func(i int, b []byte)) error {
+// invoking fn with each chunk's first item index and its item bytes, and
+// stops at the first error fn returns.
+func readChunks(link *workerLink, kind byte, m, itemSize int, fn func(start int, items []byte) error) error {
 	for start := 0; start < m; start += specChunk {
 		end := min(start+specChunk, m)
 		payload, err := link.expect(kind)
@@ -731,9 +763,8 @@ func readChunks(link *workerLink, kind byte, m, itemSize int, fn func(i int, b [
 		if got := int(binary.BigEndian.Uint32(payload[0:4])); got != start {
 			return fmt.Errorf("chunk %#02x starts at %d, want %d", kind, got, start)
 		}
-		for i := start; i < end; i++ {
-			off := 4 + itemSize*(i-start)
-			fn(i, payload[off:off+itemSize])
+		if err := fn(start, payload[4:]); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"github.com/graphpart/graphpart/internal/engine"
@@ -52,6 +53,37 @@ func FuzzWireRoundTrip(f *testing.F) {
 			if FramedSize(m) != len(original) {
 				t.Fatalf("FramedSize(%T) = %d, frame was %d bytes", m, FramedSize(m), len(original))
 			}
+		}
+	})
+}
+
+// FuzzReadSpec feeds arbitrary spec streams to the worker's decoder. It must
+// return an error or a graph and a complete assignment the engine accepts,
+// never panic, and never size the edge buffer from a header count the
+// stream does not back.
+func FuzzReadSpec(f *testing.F) {
+	valid := validSpec(f)
+	f.Add(valid)
+	f.Add(valid[:specHdrEnd])
+	f.Add(valid[:len(valid)-1])
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The worker builds its graph over global vertex ids, so a valid
+		// spec costs O(n) memory whatever it sends; keep n small enough to
+		// fuzz in memory. TestReadSpecRejectsMalformed covers n's bound.
+		if len(data) >= specHdrEnd && binary.BigEndian.Uint32(data[specOffN:]) > 1<<16 {
+			return
+		}
+		g, a, prog, err := readSpecBytes(data)
+		if err != nil {
+			return
+		}
+		if prog == nil || a.P() < 1 || a.P() > maxMachines || a.NumEdges() != g.NumEdges() || a.AssignedCount() != a.NumEdges() {
+			t.Fatalf("accepted spec: program %v, p=%d, %d of %d edges assigned, graph has %d",
+				prog, a.P(), a.AssignedCount(), a.NumEdges(), g.NumEdges())
+		}
+		if _, err := engine.New(g, a); err != nil {
+			t.Fatalf("engine.New on an accepted spec: %v", err)
 		}
 	})
 }

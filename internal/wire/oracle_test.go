@@ -31,10 +31,10 @@ func oracleGraph(seed uint64, n, extra int) *graph.Graph {
 }
 
 // TestTCPOracleBitIdentical is the acceptance oracle of the wire layer: for
-// every registered partitioner, at p in {2, 8}, PageRank and connected
-// components executed over real TCP sockets must return values bit-for-bit
-// equal to the plain sequential loop, with the same superstep count — the
-// network changes how bytes move, not what gets computed.
+// every registered partitioner, at p in {2, 8}, PageRank, connected
+// components and SSSP executed over real TCP sockets must return values
+// bit-for-bit equal to the plain sequential loop, with the same superstep
+// count — the network changes how bytes move, not what gets computed.
 func TestTCPOracleBitIdentical(t *testing.T) {
 	g := oracleGraph(7, 500, 2000)
 	n := g.NumVertices()
@@ -45,6 +45,7 @@ func TestTCPOracleBitIdentical(t *testing.T) {
 	}{
 		{"pagerank", func() engine.Program { return engine.NewPageRank(n, 0.85, 1e-8) }, 30},
 		{"components", func() engine.Program { return &engine.Components{} }, 50},
+		{"sssp", func() engine.Program { return &engine.SSSP{Source: 0} }, 50},
 	}
 	parts := graphpart.AllPartitioners(42)
 	names := make([]string, 0, len(parts))
