@@ -1,8 +1,10 @@
 // Command benchdiff compares two benchsnap JSON snapshots (any of
-// BENCH_baseline.json, BENCH_net.json, BENCH_obs.json, BENCH_refine.json,
+// BENCH_baseline.json, BENCH_net.json, BENCH_obs.json,
 // BENCH_cluster_obs.json, ...) and gates on relative regressions: a metric
 // whose direction is known (seconds are higher-is-worse, speedups
 // lower-is-worse) may drift by at most -threshold relative to the baseline.
+// The refinement grid is not a snapshot; it is results/refine.csv, written
+// by cmd/experiments -exp refine.
 //
 // The comparison is generic over the JSON shape rather than bound to one
 // snapshot schema: objects are walked key by key, arrays of objects are

@@ -10,7 +10,6 @@
 //	benchsnap -quick -out /tmp/b.json  # ~10% scale datasets, seconds
 //	benchsnap -datasets G1,G2 -ps 10   # restrict the grid
 //	benchsnap -net                     # Mem-vs-TCP probe -> BENCH_net.json
-//	benchsnap -refine                  # refinement probe -> BENCH_refine.json
 //	benchsnap -cluster-obs             # cluster telemetry overhead -> BENCH_cluster_obs.json
 //
 // Cells run strictly sequentially so per-cell seconds and allocation deltas
@@ -134,11 +133,6 @@ func run(args []string, logw io.Writer) error {
 		clusterObsDataset = fs.String("cluster-obs-dataset", "G1", "dataset notation for the -cluster-obs probe")
 		clusterObsPs      = fs.String("cluster-obs-ps", "2,8", "comma-separated partition counts for the -cluster-obs probe")
 		clusterObsSteps   = fs.Int("cluster-obs-steps", 20, "superstep budget for the -cluster-obs probe")
-
-		refineFlag     = fs.Bool("refine", false, "run only the refinement probe (move/swap local search over the Fig. 8 roster) and write -refine-out")
-		refineOut      = fs.String("refine-out", "BENCH_refine.json", "output JSON path for the -refine probe")
-		refineDatasets = fs.String("refine-datasets", "G1,G2,G3", "comma-separated dataset notations for the -refine probe")
-		refineP        = fs.Int("refine-p", 10, "partition count for the -refine probe")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -166,26 +160,6 @@ func run(args []string, logw io.Writer) error {
 		}
 		return runClusterObsProbe(*clusterObsDataset, *seed, ps, *clusterObsSteps, *clusterObsOut, logw)
 	}
-	if *refineFlag {
-		var probe []gen.Dataset
-		all := append(gen.Datasets(), gen.SmallDatasets()...)
-		for _, want := range strings.Split(*refineDatasets, ",") {
-			want = strings.TrimSpace(want)
-			found := false
-			for _, d := range all {
-				if d.Notation == want {
-					probe = append(probe, d)
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("unknown refine dataset %q", want)
-			}
-		}
-		return runRefineProbe(probe, *seed, *refineP, *refineOut, logw)
-	}
-
 	datasets := gen.Datasets()
 	ps := []int{10, 15, 20}
 	if *quick {

@@ -241,8 +241,8 @@ type RefineStats = refine.Stats
 // Refine post-processes a finished edge partitioning in place with move/swap
 // local search: per-vertex replica-reduction moves under the capacity bound
 // plus load-preserving boundary-edge swaps, run to convergence or a budget.
-// It never increases the replication factor, and its output is bit-identical
-// for any worker count.
+// It never increases the replication factor, and it runs on the calling
+// goroutine.
 func Refine(g *Graph, a *Assignment, opts RefineOptions) (RefineStats, error) {
 	return refine.Run(g, a, opts)
 }

@@ -39,9 +39,8 @@ type RefineResult struct {
 // one partition count, refines each result in place with the move/swap local
 // search, and emits refine.csv — the RF/balance improvement refinement buys
 // on top of TLP, METIS, TLP-SW and the streaming families (ROADMAP item 4's
-// headline table). Cells fan out over the worker pool; the refiner itself
-// runs with the same worker budget and is bit-identical for any worker
-// count, so rows are too.
+// headline table). Cells fan out over the worker pool; each cell's refiner
+// runs on its own goroutine, so rows are the same for any worker count.
 func RunRefineAblation(cfg Config, graphs map[string]*graph.Graph, p int) error {
 	cfg = cfg.withDefaults()
 	var err error
@@ -68,7 +67,7 @@ func RunRefineAblation(cfg Config, graphs map[string]*graph.Graph, p int) error 
 		}
 		res.PartitionSeconds = watch.Seconds()
 		watch = obs.StartWatch()
-		stats, err := refine.Run(g, a, refine.Options{Workers: cfg.Workers})
+		stats, err := refine.Run(g, a, refine.Options{})
 		if err != nil {
 			return res, fmt.Errorf("harness: refining %s on %s: %w", r.name, d.Notation, err)
 		}

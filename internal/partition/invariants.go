@@ -31,18 +31,23 @@ func assertLoadsConsistent(a *Assignment) {
 	}
 }
 
-// assertReplicaConsistent recomputes the total replica count the slow way —
-// materialising V(P_k) per partition — and compares it to the bitset-scan
-// result, so the two RF implementations police each other. No-op unless
-// built with -tags graphpart_invariants.
-func assertReplicaConsistent(g *graph.Graph, a *Assignment, total int) {
+// assertReplicaConsistent recomputes every vertex's replica count the slow
+// way — materialising V(P_k) per partition — and compares it to the
+// presence kernel's, so the two replica implementations police each other.
+// No-op unless built with -tags graphpart_invariants.
+func assertReplicaConsistent(g *graph.Graph, a *Assignment, pr *presence) {
 	if !invariants.Enabled {
 		return
 	}
-	alt := 0
+	counts := make([]int, g.NumVertices())
 	for _, set := range VertexSets(g, a) {
-		alt += len(set)
+		for _, v := range set {
+			counts[v]++
+		}
 	}
-	invariants.Assertf(alt == total,
-		"replication disagreement: presence scan found %d replicas, vertex-set scan found %d", total, alt)
+	for v, want := range counts {
+		invariants.Assertf(pr.replicas(v) == want,
+			"replication disagreement at vertex %d: presence kernel found %d partitions, vertex-set scan found %d",
+			v, pr.replicas(v), want)
+	}
 }

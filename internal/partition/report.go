@@ -47,58 +47,50 @@ type Report struct {
 
 // BuildReport computes the detailed report for a complete assignment.
 func BuildReport(g *graph.Graph, a *Assignment) (Report, error) {
-	m, err := Compute(g, a)
+	m, pr, err := compute(g, a)
 	if err != nil {
 		return Report{}, err
 	}
+	p := a.P()
 	rep := Report{
-		P:                 a.P(),
+		P:                 p,
 		Vertices:          g.NumVertices(),
 		Edges:             g.NumEdges(),
-		Capacity:          Capacity(g.NumEdges(), a.P()),
+		Capacity:          Capacity(g.NumEdges(), p),
 		ReplicationFactor: m.ReplicationFactor,
 		Balance:           m.Balance,
 		SpannedVertices:   m.SpannedVertices,
+		Partitions:        make([]PartitionDetail, p),
 	}
-	sets := VertexSets(g, a)
-	counts := ReplicaCount(g, a)
-	// Master rule: most incident edges, lowest partition id on ties —
-	// matches the engine and cluster packages.
-	inc := make([][]int32, a.P())
-	for k := range inc {
-		inc[k] = make([]int32, g.NumVertices())
+	for k := range rep.Partitions {
+		rep.Partitions[k] = PartitionDetail{ID: k, Edges: a.Load(k), Modularity: m.Modularity[k]}
 	}
-	for id, e := range g.Edges() {
-		k, _ := a.PartitionOf(graph.EdgeID(id))
-		inc[k][e.U]++
-		inc[k][e.V]++
-	}
-	masterOf := make([]int32, g.NumVertices())
+	// inc[k] counts v's edges in partition k while v is visited; only v's
+	// own partitions are written, and they are cleared again after.
+	inc := make([]int32, p)
 	for v := 0; v < g.NumVertices(); v++ {
-		best, bestInc := int32(-1), int32(0)
-		for k := 0; k < a.P(); k++ {
-			if inc[k][v] > bestInc {
-				best, bestInc = int32(k), inc[k][v]
-			}
+		for _, id := range g.IncidentEdges(graph.Vertex(v)) {
+			k, _ := a.PartitionOf(id)
+			inc[k]++
 		}
-		masterOf[v] = best
-	}
-	for k := 0; k < a.P(); k++ {
-		d := PartitionDetail{
-			ID:         k,
-			Edges:      a.Load(k),
-			Vertices:   len(sets[k]),
-			Modularity: m.Modularity[k],
-		}
-		for _, v := range sets[k] {
-			if counts[v] > 1 {
+		boundary := pr.replicas(v) > 1
+		// Master rule: most incident edges, lowest partition id on ties —
+		// matches the engine and cluster packages.
+		master, most := -1, int32(0)
+		pr.each(v, func(k int) {
+			d := &rep.Partitions[k]
+			d.Vertices++
+			if boundary {
 				d.BoundaryVertices++
 			}
-			if masterOf[v] == int32(k) {
-				d.Masters++
+			if inc[k] > most {
+				master, most = k, inc[k]
 			}
+			inc[k] = 0
+		})
+		if master >= 0 {
+			rep.Partitions[master].Masters++
 		}
-		rep.Partitions = append(rep.Partitions, d)
 	}
 	return rep, nil
 }

@@ -38,11 +38,9 @@ type partCount struct {
 //
 // The State owns all mutation: reassigning edges through the underlying
 // Assignment directly desynchronises the incremental structures. Reads are
-// safe from multiple goroutines as long as no Move/Swap is concurrent, which
-// is what lets the refiner score candidates in parallel between sequential
-// application folds. Built with -tags graphpart_invariants, every
-// stateCheckInterval-th mutation cross-checks the whole structure against a
-// full recomputation.
+// safe from multiple goroutines as long as no Move/Swap is concurrent. Built
+// with -tags graphpart_invariants, every stateCheckInterval-th mutation
+// cross-checks the whole structure against a full recomputation.
 type State struct {
 	g *graph.Graph
 	a *Assignment

@@ -54,9 +54,17 @@ func TestStreamMetricsErrors(t *testing.T) {
 	g := graph.MustFromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	src := source.FromGraph(g, source.OrderNatural, 0)
 	a := MustNew(g.NumEdges(), 65)
-	if _, err := StreamMetrics(src, a); err == nil {
-		t.Fatal("p=65 accepted")
+	a.Assign(0, 3)
+	a.Assign(1, 64)
+	want, err := Compute(g, a)
+	if err != nil {
+		t.Fatal(err)
 	}
+	got, err := StreamMetrics(src, a)
+	if err != nil {
+		t.Fatalf("p=65: %v", err)
+	}
+	metricsEqual(t, "StreamMetrics at p=65", want, got)
 	a2 := MustNew(g.NumEdges(), 2)
 	if _, err := StreamMetrics(src, a2); err == nil {
 		t.Fatal("unassigned edges accepted")

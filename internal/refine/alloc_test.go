@@ -10,9 +10,9 @@ import (
 
 // TestHotPathAllocs_RefineScoring is the cross-check named by the
 // //graphpart:hotpath annotations on scoreVacate, vacateGain and
-// collectSwapCandidates. The vacate pair works entirely in caller scratch
-// and the swap sweep in the runner's, so once a first sweep has sized the
-// bucket pool, steady-state calls allocate nothing.
+// collectSwapCandidates. Both work entirely in the runner's scratch, so
+// once a first sweep has sized the bucket pool and a first scoring the
+// per-partition neighbour lists, steady-state calls allocate nothing.
 func TestHotPathAllocs_RefineScoring(t *testing.T) {
 	g := randomGraph(5, 200, 400)
 	const p = 8
@@ -25,7 +25,7 @@ func TestHotPathAllocs_RefineScoring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := &runner{g: g, st: st, capC: g.NumEdges(), minGain: 1, workers: 1}
+	run := newRunner(g, st, g.NumEdges(), 1)
 
 	var v graph.Vertex
 	found := false
@@ -38,14 +38,12 @@ func TestHotPathAllocs_RefineScoring(t *testing.T) {
 	if !found {
 		t.Fatal("random assignment produced no spanned vertex")
 	}
-	parts := make([]int, 0, p)
-	others := make([][]graph.Vertex, p)
 	edges := make([]graph.EdgeID, 0, g.NumEdges())
-	_ = run.scoreVacate(v, parts, others) // warm the per-partition scratch slices
-	pp := st.Partitions(v, parts)
+	_ = run.scoreVacate(v) // warm the per-partition scratch slices
+	pp := st.Partitions(v, nil)
 	from, to := pp[0], pp[1]
 	if allocs := testing.AllocsPerRun(300, func() {
-		_ = run.scoreVacate(v, parts, others)
+		_ = run.scoreVacate(v)
 		_, edges = run.vacateGain(v, from, to, edges[:0])
 	}); allocs != 0 {
 		t.Fatalf("vacate scoring allocates %.1f times per call pair", allocs)

@@ -104,25 +104,20 @@ func refineGoldenInput(t *testing.T, g *graph.Graph, c refineGoldenCase) *partit
 	return a
 }
 
-// TestRefineGoldenOracle pins the refined output of every case at worker
-// counts 1, 2, 4 and 8: the hash must equal the captured oracle at every
-// count, proving both that the refiner's behaviour is frozen and that the
-// parallel scoring fan-out is invisible in its output.
+// TestRefineGoldenOracle pins the refined output of every case: the hash
+// must equal the captured oracle, proving the refiner's behaviour is frozen.
 func TestRefineGoldenOracle(t *testing.T) {
 	for _, c := range refineGoldenCases {
 		c := c
 		t.Run(fmt.Sprintf("%s/%s/p%d", c.dataset, c.family, c.p), func(t *testing.T) {
 			g := refineGoldenGraph(t, c.dataset)
-			base := refineGoldenInput(t, g, c)
+			a := refineGoldenInput(t, g, c)
 			capC := int(1.2 * float64(partition.Capacity(g.NumEdges(), c.p)))
-			for _, workers := range []int{1, 2, 4, 8} {
-				a := base.Clone()
-				if _, err := Run(g, a, Options{Capacity: capC, Workers: workers}); err != nil {
-					t.Fatal(err)
-				}
-				if got := goldenHash(a); got != c.want {
-					t.Errorf("workers=%d: refined hash %#016x, want oracle %#016x", workers, got, c.want)
-				}
+			if _, err := Run(g, a, Options{Capacity: capC}); err != nil {
+				t.Fatal(err)
+			}
+			if got := goldenHash(a); got != c.want {
+				t.Errorf("refined hash %#016x, want oracle %#016x", got, c.want)
 			}
 		})
 	}

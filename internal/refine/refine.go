@@ -8,12 +8,12 @@
 // neighbourhoods run on the incremental partition.State, so every gain is an
 // O(1) count lookup and applying a move is O(1) amortized.
 //
-// Each pass scores candidates against the phase-start state — moves in
-// parallel over the worker pool, swaps in one serial ascending sweep over
-// the boundary edges — then applies them in one sequential fold (moves by
-// ascending vertex, swaps by ascending (i, j) partition pair), re-evaluating
-// every exact gain against the live state. Stale candidates are skipped,
-// never mis-applied, so the result is bit-identical for any worker count.
+// The search is sequential, like the method it follows. Each pass scores
+// candidates against the phase-start state — moves per spanned vertex, swaps
+// in one ascending sweep over the boundary edges — then applies them in one
+// fold (moves by ascending vertex, swaps by ascending (i, j) partition
+// pair), re-evaluating every exact gain against the live state. Stale
+// candidates are skipped, never mis-applied.
 package refine
 
 import (
@@ -26,7 +26,6 @@ import (
 	"github.com/graphpart/graphpart/internal/graph"
 	"github.com/graphpart/graphpart/internal/invariants"
 	"github.com/graphpart/graphpart/internal/obs"
-	"github.com/graphpart/graphpart/internal/parallel"
 	"github.com/graphpart/graphpart/internal/partition"
 )
 
@@ -51,9 +50,6 @@ type Options struct {
 	// pass it stops after depends on the machine — leave it zero where
 	// bit-identical output matters (the deterministic-oracle tests do).
 	MaxSeconds float64
-	// Workers caps the scoring parallelism; zero resolves the worker pool
-	// default (GRAPHPART_WORKERS, then GOMAXPROCS).
-	Workers int
 }
 
 // Stats reports what a Run call did.
@@ -87,7 +83,7 @@ func Run(g *graph.Graph, a *partition.Assignment, opts Options) (Stats, error) {
 	if g == nil {
 		return stats, fmt.Errorf("refine: nil graph")
 	}
-	// Zero means "default"; Workers follows the parallel.Workers rule.
+	// Zero means "default".
 	if opts.Capacity < 0 || opts.MaxPasses < 0 || opts.MinGain < 0 ||
 		!(opts.MaxSeconds >= 0) || math.IsInf(opts.MaxSeconds, 1) {
 		return stats, fmt.Errorf("refine: options must be finite and non-negative: %+v", opts)
@@ -97,7 +93,6 @@ func Run(g *graph.Graph, a *partition.Assignment, opts Options) (Stats, error) {
 	}
 	capC := cmp.Or(opts.Capacity, partition.Capacity(g.NumEdges(), a.P()))
 	maxPasses, minGain := cmp.Or(opts.MaxPasses, 8), cmp.Or(opts.MinGain, 1)
-	workers := parallel.Workers(opts.Workers)
 	st, err := partition.NewState(g, a)
 	if err != nil {
 		return stats, fmt.Errorf("refine: %w", err)
@@ -106,10 +101,10 @@ func Run(g *graph.Graph, a *partition.Assignment, opts Options) (Stats, error) {
 	stats.BalanceBefore = st.Balance()
 	sp := obs.Start("refine.run",
 		obs.Int("p", a.P()), obs.Int("edges", g.NumEdges()),
-		obs.Int("capacity", capC), obs.Int("workers", workers),
+		obs.Int("capacity", capC),
 		obs.Int("boundary", st.NumBoundary()))
 	budget := obs.StartWatch()
-	r := &runner{g: g, st: st, capC: capC, minGain: minGain, workers: workers}
+	r := newRunner(g, st, capC, minGain)
 	for pass := 0; pass < maxPasses; pass++ {
 		if opts.MaxSeconds > 0 && budget.Seconds() > opts.MaxSeconds {
 			break
@@ -149,59 +144,61 @@ func Run(g *graph.Graph, a *partition.Assignment, opts Options) (Stats, error) {
 
 // runner carries one Run invocation's search context and its pass scratch.
 type runner struct {
-	g                      *graph.Graph
-	st                     *partition.State
-	capC, minGain, workers int
+	g             *graph.Graph
+	st            *partition.State
+	capC, minGain int
 
-	open  []uint64 // open[(i*3+g)*ceil(p/64):]: targets j whose bucket (i, j, g) takes edges
-	slab  []int32  // slab[b]: bucket b's offset in pool (0 while empty)
-	fill  []uint8  // fill[b]: edges in bucket b this pass
-	pool  []graph.EdgeID
-	masks []uint64 // the two endpoint presence masks of a swept edge
-	parts []int
+	open   []uint64 // open[(i*3+g)*ceil(p/64):]: targets j whose bucket (i, j, g) takes edges
+	slab   []int32  // slab[b]: bucket b's offset in pool (0 while empty)
+	fill   []uint8  // fill[b]: edges in bucket b this pass
+	pool   []graph.EdgeID
+	masks  []uint64         // the two endpoint presence masks of a swept edge
+	parts  []int            // one vertex's partitions
+	others [][]graph.Vertex // others[k]: a scored vertex's neighbours across its edges in k
+	cands  []vacate         // one pass's scored moves, by ascending vertex
+	edges  []graph.EdgeID   // the edges of one applied move
+}
+
+// newRunner sizes the scratch every pass reuses.
+func newRunner(g *graph.Graph, st *partition.State, capC, minGain int) *runner {
+	p := st.P()
+	nw := (p + 63) / 64
+	return &runner{
+		g: g, st: st, capC: capC, minGain: minGain,
+		open: make([]uint64, 3*p*nw), slab: make([]int32, 3*p*p), fill: make([]uint8, 3*p*p),
+		masks: make([]uint64, 2*nw), parts: make([]int, 0, p), others: make([][]graph.Vertex, p),
+	}
 }
 
 // vacate is one scored per-vertex move candidate: shift all of v's edges in
 // partition `from` to partition `to` for a predicted replica reduction of
 // `gain`. from < 0 marks "no candidate".
 type vacate struct {
+	v        graph.Vertex
 	from, to int32
 	gain     int32
 }
 
-// movePhase scores the best vacate move of every spanned vertex in parallel
-// against the phase-start state, then applies them in ascending vertex order
-// with exact re-evaluation, so earlier applications invalidate later
-// candidates safely (the re-check skips them). Returns applied moves, edges
-// reassigned and replicas removed.
+// movePhase scores the best vacate move of every spanned vertex against the
+// phase-start state, then applies them in ascending vertex order with exact
+// re-evaluation, so earlier applications invalidate later candidates safely
+// (the re-check skips them). Returns applied moves, edges reassigned and
+// replicas removed.
 func (r *runner) movePhase() (moves, edgesMoved, gainTotal int) {
 	st := r.st
-	spanned := make([]graph.Vertex, 0, st.SpannedVertices())
+	r.cands = r.cands[:0]
 	for v := 0; v < r.g.NumVertices(); v++ {
-		if st.Replicas(graph.Vertex(v)) >= 2 {
-			spanned = append(spanned, graph.Vertex(v))
-		}
-	}
-	if len(spanned) == 0 {
-		return 0, 0, 0
-	}
-	cands := make([]vacate, len(spanned))
-	chunks := parallel.Chunks(len(spanned), r.workers)
-	parallel.ForEach(len(chunks), r.workers, func(c int) {
-		parts := make([]int, 0, st.P())
-		others := make([][]graph.Vertex, st.P())
-		for i := chunks[c][0]; i < chunks[c][1]; i++ {
-			cands[i] = r.scoreVacate(spanned[i], parts[:0], others)
-		}
-	})
-	var edges []graph.EdgeID
-	for i, v := range spanned {
-		cand := cands[i]
-		if cand.from < 0 {
+		if st.Replicas(graph.Vertex(v)) < 2 {
 			continue
 		}
-		gain, got := r.vacateGain(v, int(cand.from), int(cand.to), edges[:0])
-		edges = got
+		if cand := r.scoreVacate(graph.Vertex(v)); cand.from >= 0 {
+			r.cands = append(r.cands, cand)
+		}
+	}
+	for _, cand := range r.cands {
+		v := cand.v
+		gain, edges := r.vacateGain(v, int(cand.from), int(cand.to), r.edges[:0])
+		r.edges = edges
 		if gain < r.minGain || len(edges) == 0 {
 			continue
 		}
@@ -224,25 +221,25 @@ func (r *runner) movePhase() (moves, edgesMoved, gainTotal int) {
 }
 
 // scoreVacate finds v's best (from, to, gain) vacate candidate against the
-// current state: highest gain, ties to the smallest from then to. The caller
-// passes scratch buffers; `others`, indexed by partition, receives the far
-// endpoints of v's edges there (only v's own partitions are wiped and read).
+// current state: highest gain, ties to the smallest from then to. The
+// runner's `others`, indexed by partition, receives the far endpoints of v's
+// edges there (only v's own partitions are wiped and read).
 //
 //graphpart:hotpath test=TestHotPathAllocs_RefineScoring
-func (r *runner) scoreVacate(v graph.Vertex, parts []int, others [][]graph.Vertex) vacate {
+func (r *runner) scoreVacate(v graph.Vertex) vacate {
 	st := r.st
-	parts = st.Partitions(v, parts)
+	parts := st.Partitions(v, r.parts[:0])
 	for _, k := range parts {
-		others[k] = others[k][:0]
+		r.others[k] = r.others[k][:0]
 	}
 	nbrs := r.g.Neighbors(v)
 	for i, eid := range r.g.IncidentEdges(v) {
 		k, _ := st.Assignment().PartitionOf(eid)
-		others[k] = append(others[k], nbrs[i])
+		r.others[k] = append(r.others[k], nbrs[i])
 	}
-	best := vacate{from: -1}
+	best := vacate{v: v, from: -1}
 	for _, from := range parts {
-		us := others[from]
+		us := r.others[from]
 		for _, to := range parts {
 			if to == from {
 				continue
@@ -260,7 +257,7 @@ func (r *runner) scoreVacate(v graph.Vertex, parts []int, others [][]graph.Verte
 				}
 			}
 			if gain >= r.minGain && (best.from < 0 || int32(gain) > best.gain) {
-				best = vacate{from: int32(from), to: int32(to), gain: int32(gain)}
+				best = vacate{v: v, from: int32(from), to: int32(to), gain: int32(gain)}
 			}
 		}
 	}
@@ -348,10 +345,6 @@ func (r *runner) swapPhase() (swaps, gainTotal int) {
 func (r *runner) collectSwapCandidates() {
 	st, p := r.st, r.st.P()
 	nw := (p + 63) / 64
-	if r.fill == nil { // the first sweep sizes the scratch every later one reuses
-		r.open, r.masks, r.parts = make([]uint64, 3*p*nw), make([]uint64, 2*nw), make([]int, 0, p)
-		r.slab, r.fill = make([]int32, 3*p*p), make([]uint8, 3*p*p)
-	}
 	clear(r.fill)
 	clear(r.slab)
 	clear(r.open)

@@ -48,7 +48,7 @@ func TestRunValidation(t *testing.T) {
 			t.Errorf("options %+v accepted", bad)
 		}
 	}
-	if _, err := Run(g, a, Options{Workers: -1, MaxSeconds: 10}); err != nil {
+	if _, err := Run(g, a, Options{MaxSeconds: 10}); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}
 }
@@ -189,44 +189,6 @@ func TestRunOnTLPIsNearNoop(t *testing.T) {
 	}
 	if after > before+1e-12 {
 		t.Fatalf("refinement worsened RF: %.4f -> %.4f", before, after)
-	}
-}
-
-// TestRunWorkerInvariance refines the same input at worker counts 1, 2, 4
-// and 8: scoring is parallel but application is a sequential fold, so the
-// refined assignment must be bit-identical in every run.
-func TestRunWorkerInvariance(t *testing.T) {
-	g := gen.PlantedCommunities(gen.CommunityConfig{
-		Vertices: 300, Communities: 6, TargetEdges: 2500, IntraFraction: 0.7,
-	}, rng.New(11))
-	p := 8
-	base, err := streaming.NewRandom(13).Partition(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	capC := int(1.1 * float64(partition.Capacity(g.NumEdges(), p)))
-	var ref *partition.Assignment
-	var refStats Stats
-	for _, workers := range []int{1, 2, 4, 8} {
-		a := base.Clone()
-		stats, err := Run(g, a, Options{Capacity: capC, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref, refStats = a, stats
-			continue
-		}
-		if stats != refStats {
-			t.Fatalf("workers=%d stats %+v differ from workers=1 stats %+v", workers, stats, refStats)
-		}
-		for id := 0; id < g.NumEdges(); id++ {
-			k1, _ := ref.PartitionOf(graph.EdgeID(id))
-			k2, _ := a.PartitionOf(graph.EdgeID(id))
-			if k1 != k2 {
-				t.Fatalf("workers=%d: edge %d in partition %d, workers=1 put it in %d", workers, id, k2, k1)
-			}
-		}
 	}
 }
 

@@ -75,7 +75,7 @@ func TestSwapCandidatesMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := &runner{g: g, st: st, capC: g.NumEdges(), minGain: 1, workers: 1}
+			run := newRunner(g, st, g.NumEdges(), 1)
 			checkSwapCandidates(t, run)
 			// The scratch is reused: a second sweep after a swap phase has
 			// changed the state must match the reference again.
@@ -111,7 +111,7 @@ func TestSwapCandidatesMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := &runner{g: g, st: st, capC: g.NumEdges(), minGain: 1, workers: 1}
+		run := newRunner(g, st, g.NumEdges(), 1)
 		checkSwapCandidates(t, run)
 		for _, c := range []struct{ i, j, gain, n int }{{0, 1, 2, 64}, {0, 2, 0, 64}, {1, 0, 0, 64}, {1, 2, 0, 0}} {
 			got := run.candidates(nil, c.i, c.j)
