@@ -17,13 +17,19 @@
 // pool; output is identical for any worker count. The pool size comes from
 // -workers, then the GRAPHPART_WORKERS environment variable, then
 // GOMAXPROCS. Per-cell seconds in timing output include contention between
-// concurrent cells — use -workers 1 (or cmd/benchsnap) for clean timings.
+// concurrent cells — use -workers 1 for clean timings.
+//
+// table3.csv is written only by -exp table3 and -exp all; the other
+// experiments still generate (and print) the datasets they run on, but
+// leave the committed Table III untouched.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -35,31 +41,41 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// experiments lists every -exp value run accepts.
+var experiments = []string{"table3", "fig8", "table4", "fig9", "fig10", "fig11",
+	"table6", "timing", "ablation", "window", "engine", "refine", "all"}
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
 	var (
-		exp      = flag.String("exp", "all", "experiment: table3|fig8|table4|fig9|fig10|fig11|table6|timing|ablation|window|engine|refine|all")
-		seed     = flag.Uint64("seed", 42, "random seed for datasets and algorithms")
-		csv      = flag.String("csv", "", "directory for CSV output (optional)")
-		quick    = flag.Bool("quick", false, "use ~10% scale datasets (seconds instead of minutes)")
-		only     = flag.String("datasets", "", "comma-separated dataset notations to restrict to (e.g. G1,G2)")
-		workers  = flag.Int("workers", 0, "concurrent grid cells; 0 = GRAPHPART_WORKERS env, then GOMAXPROCS (output is identical for any value)")
-		traceOut = flag.String("trace", "", "write a Chrome trace-event file of the run (load at chrome://tracing)")
-		metrics  = flag.String("metrics", "", "write a JSON metrics snapshot of the run")
+		exp      = fs.String("exp", "all", "experiment: "+strings.Join(experiments, "|"))
+		seed     = fs.Uint64("seed", 42, "random seed for datasets and algorithms")
+		csv      = fs.String("csv", "", "directory for CSV output (optional)")
+		quick    = fs.Bool("quick", false, "use ~10% scale datasets (seconds instead of minutes)")
+		only     = fs.String("datasets", "", "comma-separated dataset notations to restrict to (e.g. G1,G2)")
+		workers  = fs.Int("workers", 0, "concurrent grid cells; 0 = GRAPHPART_WORKERS env, then GOMAXPROCS (output is identical for any value)")
+		traceOut = fs.String("trace", "", "write a Chrome trace-event file of the run (load at chrome://tracing)")
+		metrics  = fs.String("metrics", "", "write a JSON metrics snapshot of the run")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if !slices.Contains(experiments, *exp) {
+		return fmt.Errorf("unknown experiment %q", *exp)
+	}
 
 	telemetry := *traceOut != "" || *metrics != ""
 	if telemetry {
 		obs.Enable()
 	}
 
-	cfg := harness.Config{Seed: *seed, CSVDir: *csv, Out: os.Stdout, Workers: *workers}
+	cfg := harness.Config{Seed: *seed, CSVDir: *csv, Out: out, Workers: *workers}
 	if *quick {
 		cfg.Datasets = gen.SmallDatasets()
 		cfg.Ps = []int{4, 6, 8}
@@ -97,26 +113,24 @@ func run() error {
 	}
 
 	watch := obs.StartWatch()
-	fmt.Printf("generating datasets (seed %d)...\n", *seed)
+	fmt.Fprintf(out, "generating datasets (seed %d)...\n", *seed)
+	table3 := cfg
+	if *exp != "table3" && *exp != "all" {
+		table3.CSVDir = ""
+	}
 	var graphs map[string]*graph.Graph
 	if err := timed("table3", func() (err error) {
-		graphs, err = harness.RunTable3(cfg)
+		graphs, err = harness.RunTable3(table3)
 		return err
 	}); err != nil {
 		return err
 	}
-	fmt.Printf("generated in %v\n", watch.Elapsed().Round(time.Millisecond))
-
-	wantFig8 := *exp == "fig8" || *exp == "table4" || *exp == "all"
-	switch *exp {
-	case "table3":
+	fmt.Fprintf(out, "generated in %v\n", watch.Elapsed().Round(time.Millisecond))
+	if *exp == "table3" {
 		return nil
-	case "fig8", "table4", "all":
-	case "fig9", "fig10", "fig11", "table6", "timing", "ablation", "window", "engine", "refine":
-	default:
-		return fmt.Errorf("unknown experiment %q", *exp)
 	}
 
+	wantFig8 := *exp == "fig8" || *exp == "table4" || *exp == "all"
 	if wantFig8 {
 		var results []harness.Result
 		if err := timed("fig8", func() (err error) {
@@ -205,9 +219,9 @@ func run() error {
 			return err
 		}
 	}
-	fmt.Printf("\ntotal time: %v\n", watch.Elapsed().Round(time.Millisecond))
+	fmt.Fprintf(out, "\ntotal time: %v\n", watch.Elapsed().Round(time.Millisecond))
 	if telemetry {
-		printSpanSummary(os.Stdout)
+		printSpanSummary(out)
 		if err := writeTelemetry(*traceOut, *metrics); err != nil {
 			return err
 		}
@@ -217,7 +231,7 @@ func run() error {
 
 // printSpanSummary renders the per-experiment (and hottest inner) span
 // totals the trace recorded.
-func printSpanSummary(out *os.File) {
+func printSpanSummary(out io.Writer) {
 	recs, dropped := obs.TraceRecords()
 	sums := obs.SummarizeSpans(recs)
 	if len(sums) == 0 {

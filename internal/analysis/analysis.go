@@ -68,12 +68,12 @@ type Rule struct {
 func Rules() []Rule {
 	return []Rule{
 		{Code: "GL001", Doc: "order-sensitive accumulation (append / channel send) inside a map-range body", check: checkGL001},
-		{Code: "GL002", Doc: "math/rand import outside internal/rng, or time.Now call outside the clock allowlist (internal/obs, cmd/benchsnap, internal/wire)", check: checkGL002},
+		{Code: "GL002", Doc: "math/rand import outside internal/rng, or time.Now call outside the clock allowlist (internal/obs, internal/wire/deadline.go)", check: checkGL002},
 		{Code: "GL003", Doc: "fmt.Print* call or os.Stdout reference in an internal/ library package", check: checkGL003},
 		{Code: "GL004", Doc: "floating-point += / -= on a captured variable inside goroutine-launched code", check: checkGL004},
 		{Code: "GL005", Doc: "exported identifier in the root package without a doc comment", check: checkGL005},
 		{Code: "GL006", Doc: "sync.Mutex, sync.RWMutex or partition.Assignment passed by value", check: checkGL006},
-		{Code: "GL007", Doc: "time.Now / time.Since / time.Until call outside the clock allowlist (obs seam, benchsnap timestamps, wire socket deadlines)", check: checkGL007},
+		{Code: "GL007", Doc: "time.Now / time.Since / time.Until call outside the clock allowlist (obs seam, wire socket deadlines)", check: checkGL007},
 		{Code: "GL008", Doc: "ValidateOptions.CapacitySlack set to a capacity-disabling constant (>= 10) instead of SkipCapacity", check: checkGL008},
 		{Code: "GL011", Doc: "closure passed to internal/parallel.ForEach/Map writes captured state instead of an index-addressed destination", check: checkGL011},
 	}

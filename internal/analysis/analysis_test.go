@@ -143,11 +143,10 @@ func TestCorpus(t *testing.T) {
 		{name: "gl006bad", dir: "gl006bad", asPath: "<mod>/internal/gl006bad"},
 		{name: "gl006ok", dir: "gl006ok", asPath: "<mod>/internal/gl006ok"},
 		{name: "gl007bad", dir: "gl007bad", asPath: "<mod>/internal/gl007bad"},
-		// GL007 exempts only the clock seam, the snapshot tool, and the wire
-		// transport; the same wall-clock reads are clean under those paths.
+		// GL007 exempts only the clock seam and the wire transport; the same
+		// wall-clock reads are clean under the seam's path.
 		{name: "gl007ok-obs", dir: "gl007ok", asPath: "<mod>/internal/obs"},
-		{name: "gl007ok-benchsnap", dir: "gl007ok", asPath: "<mod>/cmd/benchsnap"},
-		// The wire transport's socket-deadline arming is the third exempt
+		// The wire transport's socket-deadline arming is the second exempt
 		// site, and the only file-scoped one: net.Conn deadlines compare
 		// against the kernel clock, so the injectable obs.Clock cannot serve
 		// them — but only deadline.go gets the allowance. The package's

@@ -428,7 +428,7 @@ func sortEdges(edges []CallEdge) {
 func (m *Module) isSeamPackage(pkg *Package) bool {
 	rel := strings.TrimPrefix(pkg.Path, m.Path+"/")
 	switch rel {
-	case "internal/rng", "internal/obs", "internal/wire", "cmd/benchsnap":
+	case "internal/rng", "internal/obs", "internal/wire":
 		return true
 	}
 	return false

@@ -110,9 +110,8 @@ func baseIdent(expr ast.Expr) *ast.Ident {
 // seeded SplitMix64/xoshiro generator so that runs are reproducible across
 // machines and Go versions, and wall-clock time must never influence an
 // algorithm. Only internal/rng may import math/rand (it wraps the seeded
-// generator), and only three sites may call time.Now: internal/obs (the
-// sanctioned clock seam), cmd/benchsnap (which timestamps benchmark
-// snapshots), and — file-scoped, not package-wide — internal/wire's
+// generator), and only two sites may call time.Now: internal/obs (the
+// sanctioned clock seam) and — file-scoped, not package-wide — internal/wire's
 // deadline.go (net.Conn deadlines compare against the kernel's wall clock,
 // so an injected obs.Clock would hang socket I/O). The rest of internal/wire
 // is held to the seam: its telemetry-upload and span-recording paths time
@@ -133,7 +132,7 @@ func checkGL002(pkg *Package, r *reporter) {
 			}
 		}
 	}
-	if pkg.isAt("internal/obs") || pkg.isAt("cmd/benchsnap") {
+	if pkg.isAt("internal/obs") {
 		return
 	}
 	wireDeadline := pkg.isAt("internal/wire")
@@ -148,7 +147,7 @@ func checkGL002(pkg *Package, r *reporter) {
 				return true
 			}
 			r.report(sel.Pos(), "GL002",
-				"time.Now outside the clock allowlist (internal/obs, cmd/benchsnap, internal/wire/deadline.go): wall-clock must not influence results; measure elapsed time with obs.StartWatch")
+				"time.Now outside the clock allowlist (internal/obs, internal/wire/deadline.go): wall-clock must not influence results; measure elapsed time with obs.StartWatch")
 		}
 		return true
 	})
@@ -384,10 +383,8 @@ func badValueType(t types.Type) string {
 // every timing path injectable (deterministic tests swap in a step clock),
 // and its Stopwatch is the one elapsed-time primitive. Direct calls to
 // time.Now / time.Since / time.Until anywhere else — library code, mains,
-// examples — bypass the seam and fragment timing behaviour. Two sites are
-// exempt besides the seam: cmd/benchsnap for its snapshot timestamp (the
-// one legitimate "what time is it" read in the module), and — file-scoped —
-// internal/wire's deadline.go for net.Conn deadline arming: socket
+// examples — bypass the seam and fragment timing behaviour. One site is
+// exempt besides the seam, and only file-scoped: internal/wire's deadline.go for net.Conn deadline arming: socket
 // deadlines are compared against the kernel's wall clock by the runtime
 // poller, so a deadline computed from an injected obs.Clock would hang (or
 // instantly expire) real socket I/O. The rest of internal/wire gets no
@@ -398,7 +395,7 @@ func badValueType(t types.Type) string {
 // ---------------------------------------------------------------------------
 
 func checkGL007(pkg *Package, r *reporter) {
-	if pkg.isAt("internal/obs") || pkg.isAt("cmd/benchsnap") {
+	if pkg.isAt("internal/obs") {
 		return
 	}
 	wireDeadline := pkg.isAt("internal/wire")
@@ -414,7 +411,7 @@ func checkGL007(pkg *Package, r *reporter) {
 				return true
 			}
 			r.report(sel.Pos(), "GL007",
-				"time.%s outside the clock allowlist (internal/obs, cmd/benchsnap, internal/wire/deadline.go): route timing through the obs clock seam (obs.StartWatch / obs.Now)", fn.Name())
+				"time.%s outside the clock allowlist (internal/obs, internal/wire/deadline.go): route timing through the obs clock seam (obs.StartWatch / obs.Now)", fn.Name())
 		}
 		return true
 	})

@@ -43,7 +43,7 @@ func ModuleRules() []ModuleRule {
 // path may reach a time.Now/Since/Until call or a math/rand / crypto/rand
 // draw, except through the sanctioned seams (internal/rng: seeded by
 // construction; internal/obs: record-only telemetry; internal/wire: socket
-// deadlines; cmd/benchsnap: snapshot timestamps). The traversal does not
+// deadlines). The traversal does not
 // descend into a seam package — whatever happens inside is the seam's
 // charter — and each finding carries the full offending call path, because
 // a two-hop clock call is useless to report without the route to it.

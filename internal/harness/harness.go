@@ -46,7 +46,7 @@ type Config struct {
 	// pre-sized slices by cell index, so tables and CSV rows are
 	// identical for any worker count. Per-cell Seconds are the only
 	// numbers affected (concurrent cells contend for cores); use
-	// cmd/benchsnap or Workers=1 for clean timings.
+	// Workers=1 for clean timings.
 	Workers int
 }
 
@@ -402,8 +402,8 @@ func RunTiming(cfg Config, graphs map[string]*graph.Graph, p int) error {
 	}
 	// Fan the (dataset, algorithm) cells out over the pool. Note that with
 	// Workers > 1 the measured seconds include contention between
-	// concurrent cells; cmd/benchsnap runs cells sequentially when clean
-	// per-cell numbers are needed.
+	// concurrent cells; run with Workers=1 when clean per-cell numbers
+	// are needed.
 	results, err := parallel.MapErr(len(cfg.Datasets)*len(algNames), cfg.Workers, func(i int) (Result, error) {
 		d := cfg.Datasets[i/len(algNames)]
 		alg := algorithmFactories[i%len(algNames)](cfg.Seed)

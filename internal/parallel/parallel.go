@@ -1,6 +1,6 @@
 // Package parallel provides the small bounded worker pool used to fan
-// independent work items out over the available cores: harness grid cells,
-// dataset generation and metric scans.
+// independent work items out over the available cores: harness grid cells
+// and dataset generation.
 //
 // The package is stdlib-only and deliberately tiny: an indexed ForEach (with
 // an error-collecting variant) and an order-preserving Map. Work items are
@@ -91,27 +91,6 @@ func MapErr[T any](n, maxWorkers int, fn func(i int) (T, error)) ([]T, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Chunks splits [0, n) into at most parts half-open [lo, hi) ranges of
-// near-equal size, for sharding an array scan across the pool. Empty ranges
-// are omitted, so every returned chunk holds at least one index.
-func Chunks(n, parts int) [][2]int {
-	if parts < 1 {
-		parts = 1
-	}
-	if parts > n {
-		parts = n
-	}
-	out := make([][2]int, 0, parts)
-	for c := 0; c < parts; c++ {
-		lo := n * c / parts
-		hi := n * (c + 1) / parts
-		if lo < hi {
-			out = append(out, [2]int{lo, hi})
-		}
-	}
-	return out
 }
 
 // panicError carries a recovered panic value across the pool boundary so it

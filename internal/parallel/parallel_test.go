@@ -179,29 +179,6 @@ func TestForEachErrSequentialShortCircuit(t *testing.T) {
 	}
 }
 
-func TestChunks(t *testing.T) {
-	cases := []struct{ n, parts int }{
-		{0, 4}, {1, 4}, {10, 3}, {10, 1}, {10, 100}, {1000, 7}, {5, 0},
-	}
-	for _, c := range cases {
-		chunks := Chunks(c.n, c.parts)
-		covered, prev := 0, 0
-		for _, ch := range chunks {
-			if ch[0] != prev {
-				t.Fatalf("n=%d parts=%d: gap before %v", c.n, c.parts, ch)
-			}
-			if ch[0] >= ch[1] {
-				t.Fatalf("n=%d parts=%d: empty chunk %v", c.n, c.parts, ch)
-			}
-			covered += ch[1] - ch[0]
-			prev = ch[1]
-		}
-		if covered != c.n {
-			t.Fatalf("n=%d parts=%d: covered %d of %d", c.n, c.parts, covered, c.n)
-		}
-	}
-}
-
 func TestForEachParallelWritesAreVisible(t *testing.T) {
 	// The wg.Wait in the pool must publish all worker writes to the caller.
 	var mu sync.Mutex

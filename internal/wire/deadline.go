@@ -9,12 +9,12 @@ const setupTimeout = 30 * time.Second
 
 // wallDeadline returns an I/O deadline d from now on the wall clock.
 //
-// This is the module's one sanctioned wall-clock read outside internal/obs
-// and cmd/benchsnap: net.Conn deadlines are compared against the kernel's
+// This is the module's one sanctioned wall-clock read outside internal/obs:
+// net.Conn deadlines are compared against the kernel's
 // clock by the runtime poller, so they must be wall-clock by construction —
 // routing them through the injectable obs.Clock would make socket I/O hang
 // forever under a test's fake clock. graphlint's GL002/GL007 clock-seam
-// rules allowlist internal/wire for exactly this helper; keep every
+// rules allowlist this file for exactly this helper; keep every
 // deadline computation in the package going through it so the exemption
 // stays one line wide in practice.
 func wallDeadline(d time.Duration) time.Time {
