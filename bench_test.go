@@ -151,85 +151,6 @@ func BenchmarkTLPScaling(b *testing.B) {
 	}
 }
 
-// stage1BenchProbe freezes a mid-run kernel state over a hub-heavy graph:
-// three full hubs, a mid-degree band, a sparse bulk, 30% of edges retired.
-// The shape guarantees every kernel has a natural operand pair.
-var stage1BenchProbe = func() *core.OverlapProbe {
-	const n = 5000
-	r := rng.New(7)
-	b := graph.NewBuilder(n)
-	for h := 0; h < 3; h++ {
-		for o := h + 1; o < 3; o++ {
-			_ = b.AddEdge(graph.Vertex(h), graph.Vertex(o))
-		}
-		for v := 10; v < n; v++ {
-			_ = b.AddEdge(graph.Vertex(h), graph.Vertex(v))
-		}
-	}
-	for mid := 3; mid < 8; mid++ {
-		for t := 0; t < 100; t++ {
-			_ = b.AddEdge(graph.Vertex(mid), graph.Vertex(10+r.Intn(n-10)))
-		}
-	}
-	for v := 10; v < n; v++ {
-		_ = b.AddEdge(graph.Vertex(v), graph.Vertex(10+r.Intn(n-10)))
-	}
-	p, err := core.NewOverlapProbe(b.Build(), 0.3, 11)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}()
-
-// BenchmarkStage1OverlapScan measures the baseline epoch-stamp scan on the
-// hub/hub pair — the cost every stage-I intersection paid before the kernel
-// dispatch existed.
-func BenchmarkStage1OverlapScan(b *testing.B) {
-	p := stage1BenchProbe
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if p.Scan(0, 1) < 0 {
-			b.Fatal("negative overlap")
-		}
-	}
-}
-
-// BenchmarkStage1OverlapBitset measures the hub-bitset kernel on the same
-// hub/hub pair the scan benchmark uses (one row scan, no marking pass).
-func BenchmarkStage1OverlapBitset(b *testing.B) {
-	p := stage1BenchProbe
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if p.Bitset(0, 1) < 0 {
-			b.Fatal("negative overlap")
-		}
-	}
-}
-
-// BenchmarkStage1OverlapWord measures the word-at-a-time AND+popcount
-// kernel on the hub/hub pair — the dispatch's pick for that pair.
-func BenchmarkStage1OverlapWord(b *testing.B) {
-	p := stage1BenchProbe
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if p.Word(0, 1) < 0 {
-			b.Fatal("negative overlap")
-		}
-	}
-}
-
-// BenchmarkStage1OverlapGallop measures the binary-search kernel on a
-// short-row/hub pair against the scan it replaces.
-func BenchmarkStage1OverlapGallop(b *testing.B) {
-	p := stage1BenchProbe
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if p.Gallop(10, 1) < 0 {
-			b.Fatal("negative overlap")
-		}
-	}
-}
-
 // BenchmarkEnginePageRank measures the GAS engine on a TLP partitioning
 // (the extension experiment tying RF to synchronisation traffic).
 func BenchmarkEnginePageRank(b *testing.B) {

@@ -127,6 +127,8 @@ func (aa *aliveAdj) slotOf(v graph.Vertex, e graph.EdgeID) int64 {
 // kill retires the edge whose arc sits at slot s of v's row from both
 // endpoint rows. The caller may keep iterating v's row at s: the slot now
 // holds an arc that was not yet visited (or lies past the alive prefix).
+//
+//graphpart:hotpath test=TestHotPathAllocs_Stage1Kernels
 func (aa *aliveAdj) kill(v graph.Vertex, s int64) {
 	u, t := aa.nbr[s], int64(aa.tw[s])
 	aa.drop(v, s)

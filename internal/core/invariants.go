@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math/bits"
-
-	"github.com/graphpart/graphpart/internal/invariants"
-)
+import "github.com/graphpart/graphpart/internal/invariants"
 
 // assertRoundInvariants cross-checks the incremental frontier bookkeeping
 // against its definition at a point where the round's state is quiescent
@@ -44,8 +40,7 @@ func (st *runState) assertRoundInvariants() {
 // aliveDeg and its forward prefix fits inside it, every alive arc's twin
 // link names an arc of the same edge that links back, the row lengths sum
 // to twice the unassigned edge count (each alive edge appears in exactly
-// two rows), and every hub bitset's popcount equals its owner's alive
-// degree. A drift here silently corrupts every subsequent Eq. 7 score.
+// two rows). A drift here silently corrupts every subsequent Eq. 7 score.
 // No-op unless built with -tags graphpart_invariants.
 func (st *runState) assertAliveInvariants() {
 	if !invariants.Enabled {
@@ -67,18 +62,6 @@ func (st *runState) assertAliveInvariants() {
 					"round %d: vertex %d arc slot %d (edge %d) has twin slot %d linking back to %d",
 					st.round, v, s, aa.eid[s], t, aa.tw[t])
 			}
-		}
-		if st.hubBits == nil {
-			continue
-		}
-		if w := st.hubBits[v]; w != nil {
-			pc := 0
-			for _, word := range w {
-				pc += bits.OnesCount64(word)
-			}
-			invariants.Assertf(pc == int(aa.n[v]),
-				"round %d: hub %d bitset popcount=%d but alive row has %d entries",
-				st.round, v, pc, aa.n[v])
 		}
 	}
 	unassigned := int64(st.g.NumEdges() - st.a.AssignedCount())

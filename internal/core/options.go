@@ -63,12 +63,12 @@ type Options struct {
 	// Stage1Policy selects the Stage-I rule; zero means PolicyMuS1.
 	Stage1Policy Stage1Policy
 
-	// Stage1Exact forces recomputation of every frontier candidate's
-	// mu_s1 score at every Stage-I step (the paper's literal evaluation
-	// order). The default event-driven cache recomputes a candidate only
-	// when it gains a new partition neighbour, which can serve slightly
-	// stale scores when alive degrees drift; exact mode exists for tests
-	// and small graphs.
+	// Stage1Exact rescores every frontier candidate on the current
+	// remaining graph before every Stage-I pick, by refolding every member
+	// of the round (the paper's literal rule). The default cache folds a
+	// member once, when it is absorbed, so its terms go stale as alive
+	// degrees drift, and the two rules give different partitionings. Exact
+	// mode costs a refold of the whole round per pick.
 	Stage1Exact bool
 }
 
@@ -121,27 +121,20 @@ type Stats struct {
 	SweptEdges int
 	// Rounds is the number of partition-growth rounds executed.
 	Rounds int
-	// Stage1Kernels breaks down the Eq. 7 intersections by the kernel that
-	// evaluated them (DESIGN.md §13).
+	// Stage1Kernels counts the Eq. 7 intersections (DESIGN.md §13).
 	Stage1Kernels KernelCounts
 }
 
-// KernelCounts tallies stage-I intersection evaluations per kernel. Every
-// kernel computes the same exact overlap.
+// KernelCounts tallies stage-I intersection evaluations. One kernel, the
+// oriented triangle count, evaluates them all.
 type KernelCounts struct {
-	// Scan counts stamp scans over alive rows: the default cached path's
-	// oriented triangle counts (one per candidate scored) and the pair
-	// scan kernel under Stage1Exact.
+	// Scan counts candidate terms scored by the oriented triangle count,
+	// in both the default and the Stage1Exact mode.
 	Scan int64
-	// Bitset counts alive-row scans against a persistent hub bitset.
-	Bitset int64
-	// Word counts word-at-a-time bitset AND+popcount intersections
-	// (both endpoints hubs).
-	Word int64
-	// Gallop counts short-row-into-sorted-CSR binary-search intersections.
-	Gallop int64
-	// Sampled is always 0; retained only for existing readers.
-	Sampled int64
+	// Bitset, Word, Gallop and Sampled are always 0. They counted the
+	// deleted pair kernels and the retired sampled path, and are kept only
+	// for existing readers.
+	Bitset, Word, Gallop, Sampled int64
 }
 
 // AvgDegreeStage1 returns the average original-graph degree of the vertices

@@ -8,19 +8,21 @@ import (
 // candidate v to the partition, taken as the best overlap ratio
 // |N(v) ∩ N(j)| / |N(j)| over partition members j adjacent to v.
 //
-// Two evaluation modes exist:
+// Both modes score through one kernel, updateStage1Scores, which folds a
+// member j into the scores of its frontier neighbours v, each gaining the
+// term overlap(v,j)/|N(j)|, and keeps the best candidates in a lazy
+// max-heap:
 //
-//   - Cached/incremental (default): when member j is absorbed, each frontier
-//     neighbour v gains exactly one new term overlap(v,j)/|N(j)|; the cached
-//     score is the running maximum of the terms observed, and a lazy max-heap
-//     orders candidates. Per absorption this costs O(deg(j) + sum of the
-//     forward alive degrees of j's frontier neighbours), so a whole round
-//     stays within the paper's O(L²d²) bound without rescanning the frontier
-//     every step. Terms are frozen as evaluated (alive-degree drift after
-//     evaluation is ignored).
-//   - Exact (Options.Stage1Exact): every step recomputes every candidate
-//     from scratch — the paper's literal evaluation order; used by tests and
-//     available for small graphs.
+//   - Cached/incremental (default): j is folded once, when it is absorbed,
+//     and the cached score is the running maximum of the terms observed.
+//     Per absorption this costs O(deg(j) + sum of the forward alive degrees
+//     of j's frontier neighbours), so a whole round stays within the
+//     paper's O(L²d²) bound without rescanning the frontier every step.
+//     Terms are frozen as evaluated (alive-degree drift after evaluation is
+//     ignored).
+//   - Exact (Options.Stage1Exact): before every pick, rescoreStage1 resets
+//     the scores and refolds every member of the round, so each candidate is
+//     scored on the current remaining graph: the paper's literal rule.
 
 // scoreEntry is a lazy max-heap entry for Stage-I selection. deg is the
 // candidate's alive degree at push time and only breaks ties.
@@ -95,14 +97,15 @@ func (h scoreHeap) peek() (scoreEntry, bool) {
 	return h[0], true
 }
 
-// selectStage1 returns the frontier candidate with the best cached mu_s1
-// score (incremental mode) or recomputes all candidates (exact mode).
+// selectStage1 returns the frontier candidate with the best mu_s1 score,
+// ties going to the higher alive degree at push time, then the lower id. In
+// exact mode every score is recomputed first.
 func (st *runState) selectStage1() (graph.Vertex, bool) {
 	if st.opts.stage1Policy() == PolicyMaxDegree {
 		return st.selectStage1MaxDegree()
 	}
 	if st.opts.Stage1Exact {
-		return st.selectStage1Exact()
+		st.rescoreStage1()
 	}
 	for {
 		e, ok := st.mu1Heap.peek()
@@ -122,57 +125,54 @@ func (st *runState) selectStage1() (graph.Vertex, bool) {
 func (st *runState) selectStage1MaxDegree() (graph.Vertex, bool) {
 	var bestV graph.Vertex
 	bestDeg := int32(-1)
-	found := false
-	w := 0
-	for _, u := range st.frontierList {
-		if !st.inFrontier(u) || st.isMember(u) || st.aliveDeg[u] <= 0 {
-			continue
-		}
-		st.frontierList[w] = u
-		w++
+	for _, u := range st.compactFrontier() {
 		if st.aliveDeg[u] > bestDeg || (st.aliveDeg[u] == bestDeg && u < bestV) {
-			bestV, bestDeg, found = u, st.aliveDeg[u], true
+			bestV, bestDeg = u, st.aliveDeg[u]
 		}
 	}
-	st.frontierList = st.frontierList[:w]
-	return bestV, found
+	return bestV, bestDeg >= 0
 }
 
-// selectStage1Exact scans and rescores the whole frontier (compacting
-// absorbed entries out of the list), matching the paper's literal loop.
-func (st *runState) selectStage1Exact() (graph.Vertex, bool) {
-	best := -1.0
-	var bestV graph.Vertex
-	bestDeg := int32(-1)
-	found := false
+// rescoreStage1 is the exact mode's step before each pick: it zeroes every
+// live candidate's score, seeds a cleared heap with their 0-score entries
+// and refolds every member of the round. Each score is then the maximum of
+// the same terms over the same (candidate, member) pairs on the current
+// remaining graph, and since every entry is pushed now, the heap's
+// push-time degrees are current too.
+func (st *runState) rescoreStage1() {
+	st.mu1Heap = st.mu1Heap[:0]
+	for _, u := range st.compactFrontier() {
+		st.mu1Score[u] = 0
+		st.mu1Heap.push(scoreEntry{score: 0, deg: st.aliveDeg[u], v: u})
+	}
+	for _, j := range st.members {
+		st.updateStage1Scores(j)
+	}
+}
+
+// compactFrontier drops absorbed and dead vertices from frontierList and
+// returns the live candidates.
+func (st *runState) compactFrontier() []graph.Vertex {
 	w := 0
 	for _, u := range st.frontierList {
-		if !st.inFrontier(u) || st.isMember(u) || st.aliveDeg[u] <= 0 {
-			continue
-		}
-		st.frontierList[w] = u
-		w++
-		s := st.computeMu1(u)
-		if !found || s > best ||
-			(s == best && (st.aliveDeg[u] > bestDeg ||
-				(st.aliveDeg[u] == bestDeg && u < bestV))) {
-			best, bestV, bestDeg, found = s, u, st.aliveDeg[u], true
+		if st.inFrontier(u) && !st.isMember(u) && st.aliveDeg[u] > 0 {
+			st.frontierList[w] = u
+			w++
 		}
 	}
 	st.frontierList = st.frontierList[:w]
-	return bestV, found
+	return st.frontierList
 }
 
-// updateStage1Scores folds the newly absorbed member j into the cached
-// mu_s1 scores of its frontier neighbours: each gains the candidate term
-// overlap(v, j) / |N(j)| where N(·) is the alive neighbourhood.
-// countTriangles produces every candidate's overlap in one pass over the
-// forward prefixes of j's alive neighbours (DESIGN.md §13); the fold then
-// updates scores and the heap in row order, resetting the counts as it
-// goes.
+// updateStage1Scores folds member j into the mu_s1 scores of its frontier
+// neighbours: each gains the candidate term overlap(v, j) / |N(j)| where
+// N(·) is the alive neighbourhood. countTriangles produces every
+// candidate's overlap in one pass over the forward prefixes of j's alive
+// neighbours (DESIGN.md §13); the fold then updates scores and the heap in
+// row order, resetting the counts as it goes.
 func (st *runState) updateStage1Scores(j graph.Vertex) {
 	if st.tri == nil {
-		return // exact and max-degree modes rescan; no cache to maintain
+		return // max-degree mode reads no overlaps
 	}
 	dj := st.aliveDeg[j]
 	if dj <= 0 {
@@ -196,7 +196,7 @@ func (st *runState) updateStage1Scores(j graph.Vertex) {
 			st.maybeCompactMu1Heap()
 		}
 	}
-	st.kernelCounts[kernelScan] += evals
+	st.s1Evals += evals
 	st.tIntersect += w.lap()
 }
 
@@ -245,31 +245,4 @@ func (st *runState) maybeCompactMu1Heap() {
 	for i := len(live)/2 - 1; i >= 0; i-- {
 		st.mu1Heap.siftDown(i)
 	}
-}
-
-// computeMu1 evaluates Eq. 7 for candidate v from scratch (exact mode):
-// the maximum over alive member neighbours j of overlap(v,j)/|N(j)|. The
-// member iteration walks the full CSR row; the inner intersections
-// dispatch to the alive-row kernels.
-func (st *runState) computeMu1(v graph.Vertex) float64 {
-	g := st.g
-	mark := st.markAlive(v)
-	best := 0.0
-	nbrs := g.Neighbors(v)
-	eids := g.IncidentEdges(v)
-	for i, j := range nbrs {
-		if st.a.IsAssigned(eids[i]) || !st.isMember(j) {
-			continue
-		}
-		dj := st.aliveDeg[j]
-		if dj <= 0 {
-			continue
-		}
-		common, kind := st.overlapAlive(v, j, mark)
-		st.kernelCounts[kind]++
-		if score := float64(common) / float64(dj); score > best {
-			best = score
-		}
-	}
-	return best
 }

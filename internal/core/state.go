@@ -55,22 +55,19 @@ type runState struct {
 	mu1Heap  scoreHeap
 
 	// Stage-I scoring state (DESIGN.md §13): the twin-linked alive
-	// adjacency, and the cached path's per-vertex triangle counts — tri[x]
-	// is -1 except while updateStage1Scores scores a row containing x.
+	// adjacency, and the per-vertex triangle counts — tri[x] is -1 except
+	// while updateStage1Scores scores a row containing x.
 	alive *aliveAdj
 	tri   []int32
 
-	// Pair-kernel state, built by initPairKernels only for Stage1Exact runs
-	// and OverlapProbe: epoch stamps for the scan kernel and the persistent
-	// hub bitsets.
-	markStamp    []int32
-	markEpoch    int32
-	hubBits      [][]uint64 // nil for non-hubs; alive-neighbour bitset for hubs
-	hubWords     int        // words per hub bitset: ceil(n/64)
-	hubThreshold int        // full degree at which a vertex becomes a hub
+	// members lists the current round's members in absorption order, for
+	// Stage1Exact runs only, which refold them all before every stage-I
+	// pick.
+	members []graph.Vertex
 
-	// kernelCounts tallies stage-I evaluations per kernelKind.
-	kernelCounts [numKernels]int64
+	// s1Evals counts stage-I candidate evaluations (one per candidate term
+	// folded); it feeds KernelCounts.Scan.
+	s1Evals int64
 
 	// Per-round wall-clock accumulators for edge retirement and scoring,
 	// only advanced while telemetry records; flushed as tlp.s1.* trace
@@ -104,12 +101,7 @@ func newRunState(g *graph.Graph, a *partition.Assignment, opts Options) *runStat
 		}
 	}
 	st.alive = newAliveAdj(g)
-	switch {
-	case opts.stage1Policy() == PolicyMaxDegree:
-		// Max-degree selection reads no overlaps.
-	case opts.Stage1Exact:
-		st.initPairKernels()
-	default:
+	if opts.stage1Policy() != PolicyMaxDegree { // max-degree reads no overlaps
 		st.tri = make([]int32, n)
 		for v := range st.tri {
 			st.tri[v] = -1
@@ -128,6 +120,7 @@ func (st *runState) beginRound() {
 	st.maxCin = 0
 	st.bucketsLive = false
 	st.mu1Heap = st.mu1Heap[:0]
+	st.members = st.members[:0]
 	st.ein = 0
 	st.eout = 0
 }
@@ -185,10 +178,8 @@ func (st *runState) touchFrontier(u graph.Vertex) {
 		// Fresh frontier entry: zero the stage-I score cache and seed
 		// the lazy heap so all-zero-score frontiers (trees) still
 		// yield a candidate, tie-broken by alive degree.
-		if !st.opts.Stage1Exact {
-			st.mu1Score[u] = 0
-			st.mu1Heap.push(scoreEntry{score: 0, deg: st.aliveDeg[u], v: u})
-		}
+		st.mu1Score[u] = 0
+		st.mu1Heap.push(scoreEntry{score: 0, deg: st.aliveDeg[u], v: u})
 	}
 	st.cin[u]++
 	if st.bucketsLive {
@@ -297,10 +288,4 @@ func (st *runState) validBucketEntry(e coutEntry, c int32) bool {
 		!st.isMember(e.v) &&
 		st.cin[e.v] == c &&
 		st.aliveDeg[e.v]-st.cin[e.v] == e.cout
-}
-
-// nextMark returns a fresh mark epoch for common-neighbour stamping.
-func (st *runState) nextMark() int32 {
-	st.markEpoch++
-	return st.markEpoch
 }

@@ -16,14 +16,7 @@ var (
 	mStage2Selections = obs.Default.Counter("tlp.stage2_selections")
 	mReseeds          = obs.Default.Counter("tlp.reseeds")
 	mSweptEdges       = obs.Default.Counter("tlp.swept_edges")
-
-	// Per-kernel intersection counts (see kernelKind in kernels.go).
-	mKernelCounts = [numKernels]*obs.Counter{
-		kernelScan:   obs.Default.Counter("tlp.s1.kernel_scan"),
-		kernelBitset: obs.Default.Counter("tlp.s1.kernel_bitset"),
-		kernelWord:   obs.Default.Counter("tlp.s1.kernel_word"),
-		kernelGallop: obs.Default.Counter("tlp.s1.kernel_gallop"),
-	}
+	mKernelScan       = obs.Default.Counter("tlp.s1.kernel_scan")
 )
 
 // recordRunMetrics publishes a finished run's stats to the metrics
@@ -35,10 +28,7 @@ func recordRunMetrics(stats *Stats) {
 	mStage2Selections.Add(int64(stats.Stage2Selections))
 	mReseeds.Add(int64(stats.Reseeds))
 	mSweptEdges.Add(int64(stats.SweptEdges))
-	mKernelCounts[kernelScan].Add(stats.Stage1Kernels.Scan)
-	mKernelCounts[kernelBitset].Add(stats.Stage1Kernels.Bitset)
-	mKernelCounts[kernelWord].Add(stats.Stage1Kernels.Word)
-	mKernelCounts[kernelGallop].Add(stats.Stage1Kernels.Gallop)
+	mKernelScan.Add(stats.Stage1Kernels.Scan)
 }
 
 // kernelStopwatch accumulates kernel-phase wall clock through the obs clock

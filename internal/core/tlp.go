@@ -132,7 +132,7 @@ func runLocal(g *graph.Graph, p int, opts Options, isStage1 stagePolicy) (*parti
 		obs.Int("p", p), obs.Int("edges", m), obs.Int("capacity", capC))
 	bsp := sp.Child("tlp.s1.build")
 	st := newRunState(g, a, opts)
-	bsp.EndWith(obs.Int("hub_threshold", st.hubThreshold))
+	bsp.End()
 	assigned := 0
 	for k := 0; k < p && assigned < m; k++ {
 		stats.Rounds++
@@ -236,12 +236,7 @@ func runLocal(g *graph.Graph, p int, opts Options, isStage1 stagePolicy) (*parti
 		sweepLeftovers(g, a, &stats)
 		ssp.EndWith(obs.Int("swept", stats.SweptEdges))
 	}
-	stats.Stage1Kernels = KernelCounts{
-		Scan:   st.kernelCounts[kernelScan],
-		Bitset: st.kernelCounts[kernelBitset],
-		Word:   st.kernelCounts[kernelWord],
-		Gallop: st.kernelCounts[kernelGallop],
-	}
+	stats.Stage1Kernels = KernelCounts{Scan: st.s1Evals}
 	recordRunMetrics(&stats)
 	sp.EndWith(obs.Int("rounds", stats.Rounds),
 		obs.Int("stage1_selections", stats.Stage1Selections),
@@ -278,7 +273,7 @@ func (st *runState) absorb(v graph.Vertex, k, capC int) (assigned int, full bool
 }
 
 // assignMemberEdges assigns to partition k every alive edge between v and a
-// member whose id is at most limit, walking only v's alive row. killSlot
+// member whose id is at most limit, walking only v's alive row. kill
 // moves a not-yet-visited arc into the current slot, so the index only
 // advances past arcs it keeps.
 func (st *runState) assignMemberEdges(v graph.Vertex, k int, limit graph.Vertex) (assigned int) {
@@ -296,7 +291,7 @@ func (st *runState) assignMemberEdges(v graph.Vertex, k int, limit graph.Vertex)
 		st.eout--
 		st.aliveDeg[v]--
 		st.aliveDeg[u]--
-		st.killSlot(v, s)
+		aa.kill(v, s)
 		assigned++
 	}
 	st.tCompact += w.lap()
@@ -308,7 +303,8 @@ func (st *runState) assignMemberEdges(v graph.Vertex, k int, limit graph.Vertex)
 // row is exactly the frontier extension set. Row order differs from CSR
 // order, but touchFrontier's effects are order insensitive: cin increments
 // commute, and the bucket/score heaps pop in an order determined only by
-// their entry multisets.
+// their entry multisets. v is then folded into the stage-I scores, or, in
+// exact mode, queued for the refold before every pick.
 func (st *runState) finishAbsorb(v graph.Vertex) {
 	st.memberEpoch[v] = st.round
 	vn, _ := st.alive.row(v)
@@ -319,7 +315,11 @@ func (st *runState) finishAbsorb(v graph.Vertex) {
 		st.eout++
 		st.touchFrontier(u)
 	}
-	st.updateStage1Scores(v)
+	if st.opts.Stage1Exact {
+		st.members = append(st.members, v)
+	} else {
+		st.updateStage1Scores(v)
+	}
 }
 
 // absorbPrefix is the capacity-hit absorption path. It assigns exactly the

@@ -15,6 +15,7 @@ package streaming
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/graphpart/graphpart/internal/graph"
 	"github.com/graphpart/graphpart/internal/partition"
@@ -38,53 +39,41 @@ const (
 	OrderBFS = source.OrderBFS
 )
 
-// replicaSets tracks, per vertex, the set of partitions holding a replica.
-// Partition counts in this repository are small (p <= 64 covers the paper's
-// 10-20), so a bitset per vertex suffices; larger p falls back to maps.
+// replicaSets tracks, per vertex, the set of partitions holding a replica,
+// as w = ceil(p/64) words per vertex (one word in the paper's p <= 64
+// regime), the layout of the partition package's presence kernel.
 type replicaSets struct {
-	p    int
-	bits []uint64           // used when p <= 64
-	maps []map[int]struct{} // used when p > 64
+	w    int
+	bits []uint64 // bits[v*w+k/64] bit k%64: partition k holds a replica of v
 }
 
 func newReplicaSets(n, p int) *replicaSets {
-	rs := &replicaSets{p: p}
-	if p <= 64 {
-		rs.bits = make([]uint64, n)
-	} else {
-		rs.maps = make([]map[int]struct{}, n)
-	}
-	return rs
+	w := (p + 63) / 64
+	return &replicaSets{w: w, bits: make([]uint64, n*w)}
+}
+
+// at returns the index of the word holding v's bit for partition k, and
+// that bit.
+func (rs *replicaSets) at(v graph.Vertex, k int) (int, uint64) {
+	return int(v)*rs.w + k>>6, 1 << uint(k&63)
 }
 
 func (rs *replicaSets) add(v graph.Vertex, k int) {
-	if rs.bits != nil {
-		rs.bits[v] |= 1 << uint(k)
-		return
-	}
-	if rs.maps[v] == nil {
-		rs.maps[v] = make(map[int]struct{}, 4)
-	}
-	rs.maps[v][k] = struct{}{}
+	i, bit := rs.at(v, k)
+	rs.bits[i] |= bit
 }
 
 func (rs *replicaSets) has(v graph.Vertex, k int) bool {
-	if rs.bits != nil {
-		return rs.bits[v]&(1<<uint(k)) != 0
-	}
-	_, ok := rs.maps[v][k]
-	return ok
+	i, bit := rs.at(v, k)
+	return rs.bits[i]&bit != 0
 }
 
 func (rs *replicaSets) count(v graph.Vertex) int {
-	if rs.bits != nil {
-		c := 0
-		for b := rs.bits[v]; b != 0; b &= b - 1 {
-			c++
-		}
-		return c
+	c := 0
+	for _, word := range rs.bits[int(v)*rs.w : (int(v)+1)*rs.w] {
+		c += bits.OnesCount64(word)
 	}
-	return len(rs.maps[v])
+	return c
 }
 
 // validateInput checks inputs shared by the graph-based entry points.
