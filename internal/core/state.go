@@ -20,6 +20,8 @@ type runState struct {
 	// aliveDeg[v] is the number of incident edges not yet assigned to any
 	// partition — the vertex degree in the "remaining graph".
 	aliveDeg []int32
+	// left is the number of edges not yet assigned.
+	left int
 
 	// alivePool is a lazily-compacted pool of vertices that may still
 	// have alive edges; seed selection pops random entries and discards
@@ -87,6 +89,7 @@ func newRunState(g *graph.Graph, a *partition.Assignment, opts Options) *runStat
 		rand:          rng.New(opts.Seed),
 		opts:          opts,
 		aliveDeg:      make([]int32, n),
+		left:          g.NumEdges(),
 		memberEpoch:   make([]int32, n),
 		frontierEpoch: make([]int32, n),
 		cin:           make([]int32, n),

@@ -9,7 +9,8 @@ import (
 	"github.com/graphpart/graphpart/internal/rng"
 )
 
-// referenceSweep is the O(m·p) argmin scan sweepLeftovers replaced; kept
+// referenceSweep is the O(m·p) argmin scan that TLP's heap sweep
+// (partition.AssignLeftovers) replaced; kept
 // here as the behavioural oracle for the heap version.
 func referenceSweep(g *graph.Graph, a *partition.Assignment, stats *Stats) {
 	for id := 0; id < g.NumEdges(); id++ {
@@ -45,7 +46,7 @@ func TestSweepLeftoversMatchesReferenceScan(t *testing.T) {
 				}
 			}
 			var sHeap, sRef Stats
-			sweepLeftovers(g, aHeap, &sHeap)
+			sHeap.SweptEdges += partition.AssignLeftovers(aHeap)
 			referenceSweep(g, aRef, &sRef)
 			if sHeap.SweptEdges != sRef.SweptEdges {
 				t.Fatalf("p=%d density=%d: swept %d vs %d edges",

@@ -133,107 +133,16 @@ func runLocal(g *graph.Graph, p int, opts Options, isStage1 stagePolicy) (*parti
 	bsp := sp.Child("tlp.s1.build")
 	st := newRunState(g, a, opts)
 	bsp.End()
-	assigned := 0
-	for k := 0; k < p && assigned < m; k++ {
+	stage1 := func(ein, eout int64) bool { return isStage1(ein, eout, capC) }
+	for k := 0; k < p && st.left > 0; k++ {
 		stats.Rounds++
-		st.beginRound()
-		rt := beginRoundTrace(&sp, k)
-		seed, ok := st.pickSeed()
-		if !ok {
-			rt.end(st)
-			break
-		}
-		n, full := st.absorb(seed, k, capC)
-		assigned += n
-		if !full {
-			stats.PartialAbsorptions++
-			rt.end(st)
-			continue
-		}
-		// clean tracks whether the round's last absorption completed; the
-		// frontier cross-check is only meaningful in that quiescent state.
-		clean := true
-		prevEin := st.ein
-		for int(st.ein) < capC && assigned < m {
-			if st.eout == 0 {
-				// Frontier exhausted (component consumed).
-				if opts.LiteralBreak {
-					break
-				}
-				reseed, ok := st.pickSeed()
-				if !ok {
-					break
-				}
-				stats.Reseeds++
-				n, full := st.absorb(reseed, k, capC)
-				assigned += n
-				if !full {
-					stats.PartialAbsorptions++
-					clean = false
-					break
-				}
-				continue
-			}
-			var v graph.Vertex
-			var okSel bool
-			stage1 := isStage1(st.ein, st.eout, capC)
-			rt.stage(st, stage1)
-			if stage1 {
-				v, okSel = st.selectStage1()
-			} else {
-				v, okSel = st.selectStage2()
-			}
-			if !okSel {
-				// Should not happen while eout > 0; treat as
-				// exhaustion for robustness.
-				if opts.LiteralBreak {
-					break
-				}
-				reseed, ok := st.pickSeed()
-				if !ok {
-					break
-				}
-				stats.Reseeds++
-				n, full := st.absorb(reseed, k, capC)
-				assigned += n
-				if !full {
-					stats.PartialAbsorptions++
-					clean = false
-					break
-				}
-				continue
-			}
-			deg := int64(g.Degree(v))
-			if stage1 {
-				stats.Stage1Selections++
-				stats.Stage1DegreeSum += deg
-			} else {
-				stats.Stage2Selections++
-				stats.Stage2DegreeSum += deg
-			}
-			n, full := st.absorb(v, k, capC)
-			assigned += n
-			if !full {
-				stats.PartialAbsorptions++
-				clean = false
-				break
-			}
-			if invariants.Enabled {
-				invariants.Assertf(st.ein >= prevEin && int(st.ein) <= capC,
-					"round %d: ein went from %d to %d (capacity %d)", st.round, prevEin, st.ein, capC)
-				prevEin = st.ein
-			}
-		}
-		if clean {
-			st.assertRoundInvariants()
-		}
-		rt.end(st)
+		st.growRound(k, capC, nil, stage1, &stats, &sp)
 	}
 	// Balance sweep: any leftover edges (LiteralBreak mode, or capacity
-	// rounding) go to the least-loaded partitions.
-	if assigned < m {
-		ssp := sp.Child("tlp.sweep", obs.Int("leftover", m-assigned))
-		sweepLeftovers(g, a, &stats)
+	// rounding) go to the least-loaded partitions, ties to the lowest id.
+	if st.left > 0 {
+		ssp := sp.Child("tlp.sweep", obs.Int("leftover", st.left))
+		stats.SweptEdges = partition.AssignLeftovers(a)
 		ssp.EndWith(obs.Int("swept", stats.SweptEdges))
 	}
 	stats.Stage1Kernels = KernelCounts{Scan: st.s1Evals}
@@ -244,6 +153,73 @@ func runLocal(g *graph.Graph, p int, opts Options, isStage1 stagePolicy) (*parti
 		obs.Int("reseeds", stats.Reseeds),
 		obs.Int("swept", stats.SweptEdges))
 	return a, stats, nil
+}
+
+// growRound runs one growth round of partition k on the remaining graph. The
+// round starts from the members in start, absorbed in order, or from one
+// random seed when start is empty; it then absorbs the best frontier vertex,
+// reseeding when the frontier empties, until room edges are assigned or none
+// is left alive. isStage1 sees the round's ein and eout.
+func (st *runState) growRound(k, room int, start []graph.Vertex, isStage1 func(ein, eout int64) bool, stats *Stats, parent *obs.Span) {
+	st.beginRound()
+	rt := beginRoundTrace(parent, k)
+	defer rt.end(st)
+	if len(start) == 0 {
+		seed, ok := st.pickSeed()
+		if !ok {
+			return
+		}
+		start = []graph.Vertex{seed}
+	}
+	for _, v := range start {
+		if _, full := st.absorb(v, k, room); !full {
+			stats.PartialAbsorptions++
+			return
+		}
+	}
+	prevEin := st.ein
+	for int(st.ein) < room && st.left > 0 {
+		var v graph.Vertex
+		ok, stage1 := false, false
+		if st.eout > 0 {
+			stage1 = isStage1(st.ein, st.eout)
+			rt.stage(st, stage1)
+			if stage1 {
+				v, ok = st.selectStage1()
+			} else {
+				v, ok = st.selectStage2()
+			}
+		}
+		if !ok {
+			// Frontier exhausted (component consumed), or, defensively,
+			// no valid candidate while eout > 0.
+			if st.opts.LiteralBreak {
+				break
+			}
+			if v, ok = st.pickSeed(); !ok {
+				break
+			}
+			stats.Reseeds++
+		} else if stage1 {
+			stats.Stage1Selections++
+			stats.Stage1DegreeSum += int64(st.g.Degree(v))
+		} else {
+			stats.Stage2Selections++
+			stats.Stage2DegreeSum += int64(st.g.Degree(v))
+		}
+		if _, full := st.absorb(v, k, room); !full {
+			// The frontier cross-check below is only meaningful after a
+			// completed absorption.
+			stats.PartialAbsorptions++
+			return
+		}
+		if invariants.Enabled {
+			invariants.Assertf(st.ein >= prevEin && int(st.ein) <= room,
+				"round %d: ein went from %d to %d (room %d)", st.round, prevEin, st.ein, room)
+			prevEin = st.ein
+		}
+	}
+	st.assertRoundInvariants()
 }
 
 // absorb makes v a member of partition k: every alive edge between v and an
@@ -287,6 +263,7 @@ func (st *runState) assignMemberEdges(v graph.Vertex, k int, limit graph.Vertex)
 			continue
 		}
 		st.a.Assign(aa.eid[s], k)
+		st.left--
 		st.ein++
 		st.eout--
 		st.aliveDeg[v]--
@@ -355,13 +332,4 @@ func (st *runState) absorbPrefix(v graph.Vertex, k, capC int) (assigned int, ful
 		st.finishAbsorb(v)
 	}
 	return assigned, full
-}
-
-// sweepLeftovers assigns every remaining edge to the least-loaded partition;
-// loads stay within C because total capacity covers the graph. The min-heap
-// least-loaded placement itself lives in the partition-state layer
-// (partition.AssignLeftovers) — its (load, id) tie-break order matches the
-// argmin scan it historically replaced, so TLP output is unchanged.
-func sweepLeftovers(g *graph.Graph, a *partition.Assignment, stats *Stats) {
-	stats.SweptEdges += partition.AssignLeftovers(g, a)
 }

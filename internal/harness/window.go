@@ -20,9 +20,9 @@ var windowMultipliers = []float64{0.5, 1, 2, 4}
 
 // RunWindowAblation sweeps the sliding-window TLP's window size on every
 // dataset at one partition count, reporting replication factor alongside the
-// window behaviour counters (peak resident edges, final-sweep edges) that
-// explain it: a smaller window holds less context per growth decision, so
-// quality degrades and more stragglers fall to the least-load sweep.
+// window behaviour counters (peak resident edges, final-sweep edges): a
+// smaller window holds less context per growth decision, so quality
+// degrades.
 func RunWindowAblation(cfg Config, graphs map[string]*graph.Graph, p int) error {
 	cfg = cfg.withDefaults()
 	var err error
@@ -37,18 +37,12 @@ func RunWindowAblation(cfg Config, graphs map[string]*graph.Graph, p int) error 
 		stats   window.Stats
 		win     int
 		seconds float64
-		skipped bool
 	}
-	// Fan the (dataset, multiplier) cells out over the pool; the reference
-	// implementation's per-step frontier scans make very large graphs slow,
-	// so those cells are skipped like TLP-SW in RunAblation.
+	// Fan the (dataset, multiplier) cells out over the pool.
 	cells, err := parallel.MapErr(len(cfg.Datasets)*len(windowMultipliers), cfg.Workers, func(i int) (windowCell, error) {
 		d := cfg.Datasets[i/len(windowMultipliers)]
 		mult := windowMultipliers[i%len(windowMultipliers)]
 		g := graphs[d.Notation]
-		if g.NumEdges() > 150000 {
-			return windowCell{skipped: true}, nil
-		}
 		capC := partition.Capacity(g.NumEdges(), p)
 		win := int(float64(capC) * mult)
 		if win < 16 {
@@ -82,12 +76,6 @@ func RunWindowAblation(cfg Config, graphs map[string]*graph.Graph, p int) error 
 		row := d.Notation
 		for mi, mult := range windowMultipliers {
 			c := cells[di*len(windowMultipliers)+mi]
-			if c.skipped {
-				row += "\t-\t"
-				rows = append(rows, []string{d.Notation, fmt.Sprintf("%g", mult),
-					strconv.Itoa(p), "", "", "", "", ""})
-				continue
-			}
 			row += fmt.Sprintf("\t%.3f\t(%d/%d)", c.rf, c.stats.PeakWindowEdges, c.stats.SweptEdges)
 			rows = append(rows, []string{d.Notation, fmt.Sprintf("%g", mult),
 				strconv.Itoa(p), strconv.Itoa(c.win), fmt.Sprintf("%.4f", c.rf),

@@ -421,9 +421,9 @@ func (s *State) AssertConsistent() {
 // AssignLeftovers places every unassigned edge in the least-loaded partition
 // (ties to the smallest partition id, matching a sequential argmin scan) and
 // returns the number of edges placed. A binary min-heap over (load, id)
-// makes it O(m log p); TLP's leftover sweep and any future incremental
-// maintenance share this one implementation.
-func AssignLeftovers(g *graph.Graph, a *Assignment) int {
+// makes it O(m log p); TLP's and TLP-SW's leftover sweeps share this one
+// implementation.
+func AssignLeftovers(a *Assignment) int {
 	p := a.P()
 	load := make([]int, p)
 	ids := make([]int, p) // heap of partition ids, min (load, id) at ids[0]
@@ -456,7 +456,7 @@ func AssignLeftovers(g *graph.Graph, a *Assignment) int {
 		siftDown(i)
 	}
 	swept := 0
-	for id := 0; id < g.NumEdges(); id++ {
+	for id := 0; id < a.NumEdges(); id++ {
 		eid := graph.EdgeID(id)
 		if a.IsAssigned(eid) {
 			continue

@@ -239,7 +239,7 @@ func TestAssignLeftoversMatchesArgminScan(t *testing.T) {
 		ref.Assign(eid, best)
 		want++
 	}
-	if got := AssignLeftovers(g, a); got != want {
+	if got := AssignLeftovers(a); got != want {
 		t.Fatalf("AssignLeftovers placed %d edges, want %d", got, want)
 	}
 	for id := 0; id < g.NumEdges(); id++ {

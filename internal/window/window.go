@@ -3,25 +3,32 @@
 // only a bounded window of unassigned edges in memory, with the stream
 // producer running concurrently with the partitioner.
 //
-// The partitioner repeatedly (a) refills the window from the stream up to
-// its capacity, (b) grows the current partition inside the window with the
-// same two-stage criteria as TLP — Stage I (window modularity <= 1) absorbs
-// the best common-neighbour-overlap frontier vertex, Stage II absorbs the
-// best modularity-gain vertex — and (c) evicts assigned edges, freeing
-// window space. Compared to full TLP, decisions see only the window, so
-// quality degrades gracefully as the window shrinks; compared to streaming
-// partitioners, placement still happens cluster-at-a-time rather than
-// edge-at-a-time.
+// The partitioner owns no selection rule of its own. It keeps the window's
+// resident edges as a compact CSR and runs TLP's growth round
+// (core.Grower) on it, so both stages, seeding and absorption are core's.
+// It repeatedly (a) refills the window from the stream up to its capacity,
+// (b) relabels the resident endpoints to local ids in ascending global
+// order and rebuilds the CSR, (c) grows the current partition inside it by
+// at most half the window while the stream still has edges, and (d) writes
+// the assignments back and evicts the assigned edges. A partition that
+// outgrows one window keeps its members: they start its next round in the
+// rebuilt window, and the stage switch sees the partition's whole load.
+// Once the stream is exhausted the last window is grown like a whole TLP
+// run, so a window holding the entire graph reproduces TLP exactly.
+// Decisions see only the window, so quality degrades gracefully as it
+// shrinks; compared to streaming partitioners, placement still happens
+// cluster-at-a-time rather than edge-at-a-time.
 //
 // The stream itself comes from a source.EdgeSource — in-memory, file-backed
 // or generator-backed — so the partitioner's resident memory is the window
-// plus O(n) vertex bookkeeping, never the full edge set.
+// plus O(n) relabel state, never the full edge set.
 package window
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
+	"github.com/graphpart/graphpart/internal/core"
 	"github.com/graphpart/graphpart/internal/graph"
 	"github.com/graphpart/graphpart/internal/obs"
 	"github.com/graphpart/graphpart/internal/partition"
@@ -34,7 +41,8 @@ type StreamEdge = source.Edge
 
 // Config tunes the sliding-window partitioner.
 type Config struct {
-	// Seed drives seed-vertex selection and the default stream order.
+	// Seed drives seed-vertex selection (through core's seed stream) and
+	// the default stream order.
 	Seed uint64
 	// WindowEdges bounds the number of unassigned edges held in memory;
 	// zero defaults to 4*C (four partitions' worth).
@@ -55,10 +63,9 @@ type Stats struct {
 	Refills int
 	// StreamedEdges counts edges received from the stream.
 	StreamedEdges int
-	// SweptEdges counts edges the final least-load sweep had to place —
-	// edges evicted from window growth rather than absorbed by a
-	// partition (stream remainder beyond capacity rounding, or stranded
-	// window edges).
+	// SweptEdges counts edges the final least-load sweep had to place
+	// rather than a partition's growth: later copies of a duplicate pair
+	// whose twin was placed after the stream ended, and self-loops.
 	SweptEdges int
 }
 
@@ -156,115 +163,241 @@ func (w *Partitioner) PartitionChannel(stream <-chan StreamEdge, numVertices, nu
 	capC := partition.Capacity(numEdges, p)
 	windowCap := w.cfg.WindowEdges
 	if windowCap <= 0 {
-		// Default: four partitions' worth of context, capped so the
-		// per-step frontier scans (this reference implementation
-		// evaluates candidates by scanning the window-bounded frontier)
-		// stay tractable on multi-hundred-thousand-edge streams.
-		windowCap = 4 * capC
-		if windowCap > 50000 {
-			windowCap = 50000
-		}
+		windowCap = 4 * capC // four partitions' worth of context
 	}
-	if windowCap < 16 {
-		windowCap = 16
-	}
+	windowCap = max(windowCap, 16)
 	sp := obs.Start("tlpsw.partition", obs.Int("p", p),
 		obs.Int("edges", numEdges), obs.Int("window_cap", windowCap))
-	st := newWindowState(numVertices, w.cfg.Seed)
-	st.refill(stream, windowCap, &sp)
+	win := &resident{stream: stream, capacity: windowCap, numEdges: numEdges,
+		local: make([]graph.Vertex, numVertices)}
+	for v := range win.local {
+		win.local[v] = -1
+	}
+	win.refill(&sp)
+	if _, err := win.rebuild(p, nil); err != nil {
+		return nil, Stats{}, err
+	}
+	gr, err := core.NewGrower(win.g, win.la, core.Options{Seed: w.cfg.Seed})
+	if err != nil {
+		return nil, Stats{}, err
+	}
 	for k := 0; k < p; k++ {
-		st.beginPartition()
 		gsp := sp.Child("tlpsw.grow", obs.Int("k", k))
-		ein := 0
-		for ein < capC {
-			if st.windowEdges == 0 {
-				st.refill(stream, windowCap, &sp)
-				if st.windowEdges == 0 {
-					break // stream exhausted
+		var start []graph.Vertex // members carried into the rebuilt window
+		load := 0
+		for load < capC {
+			room := capC - load
+			if !win.done {
+				// Leave the other half of the window to the refill, so
+				// the partition's next round sees new context.
+				room = min(room, max(1, len(win.edges)/2))
+			}
+			n := gr.Grow(k, room, start)
+			if n == 0 {
+				break // nothing left in the window, and the stream is done
+			}
+			load += n
+			start = nil
+			if !win.done {
+				members := win.global(gr.Members())
+				win.slide(a, &sp)
+				if start, err = win.rebuild(p, members); err != nil {
+					return nil, Stats{}, err
 				}
-			}
-			if st.eout == 0 {
-				// Frontier exhausted: reseed inside the window.
-				seed, ok := st.pickSeed()
-				if !ok {
-					// Every live window vertex is already a member:
-					// the remaining live edges are member-member
-					// internals of this partition; take them.
-					n := st.absorbMemberEdges(a, k, capC-ein)
-					ein += n
-					st.refill(stream, windowCap, &sp)
-					if n == 0 && st.windowEdges == 0 {
-						break
-					}
-					if n == 0 && st.pickSeedPeek() == false {
-						break // defensive: no progress possible
-					}
-					continue
-				}
-				ein += st.absorb(seed, a, k, capC-ein)
-				continue
-			}
-			var v graph.Vertex
-			var ok bool
-			if int64(ein) <= st.eout {
-				v, ok = st.selectStage1()
-			} else {
-				v, ok = st.selectStage2(int64(ein))
-			}
-			if !ok {
-				st.eout = 0 // defensive resync; forces reseed
-				continue
-			}
-			ein += st.absorb(v, a, k, capC-ein)
-			// Opportunistic refill keeps the window full so growth
-			// decisions see as much context as allowed.
-			if st.windowEdges < windowCap/2 {
-				st.refill(stream, windowCap, &sp)
+				gr.Rebind(win.g, win.la)
 			}
 		}
-		gsp.EndWith(obs.Int("ein", ein), obs.Int("window", st.windowEdges))
+		gsp.EndWith(obs.Int("ein", load), obs.Int("window", len(win.edges)))
 	}
-	// Any edges still unassigned (stream remainder beyond total capacity
-	// rounding, or stranded window edges) sweep to the lightest loads.
+	// Any edges still unassigned (see Stats.SweptEdges) sweep to the
+	// lightest loads.
 	ssp := sp.Child("tlpsw.sweep")
-	st.drain(stream)
-	// Collect the stragglers and sweep them in EdgeID order: map iteration
-	// order is randomised, and the least-load rule depends on the order
-	// edges are placed, so the sweep must not follow it.
-	var leftover []graph.EdgeID
-	for _, arcs := range st.adj {
-		for _, arc := range arcs {
-			if !arc.dead && !a.IsAssigned(arc.eid) {
-				leftover = append(leftover, arc.eid) //lint:ignore GL001 swept in sorted EdgeID order below
-			}
-		}
-	}
-	sort.Slice(leftover, func(i, j int) bool { return leftover[i] < leftover[j] })
-	swept := 0
-	var prev graph.EdgeID
-	for i, eid := range leftover {
-		if i > 0 && eid == prev {
-			continue // each live edge appears in both endpoints' arc lists
-		}
-		prev = eid
-		best := 0
-		for k := 1; k < p; k++ {
-			if a.Load(k) < a.Load(best) {
-				best = k
-			}
-		}
-		a.Assign(eid, best)
-		swept++
+	win.writeBack(a)
+	win.drain()
+	if win.err != nil {
+		return nil, Stats{}, win.err
 	}
 	stats := Stats{
-		PeakWindowEdges: st.peakWindow,
-		Refills:         st.refills,
-		StreamedEdges:   st.streamed,
-		SweptEdges:      swept,
+		PeakWindowEdges: win.peak,
+		Refills:         win.refills,
+		StreamedEdges:   win.streamed,
+		SweptEdges:      partition.AssignLeftovers(a),
 	}
-	ssp.EndWith(obs.Int("swept", swept))
+	ssp.EndWith(obs.Int("swept", stats.SweptEdges))
 	recordRunMetrics(&stats)
 	sp.EndWith(obs.Int("peak_window", stats.PeakWindowEdges),
 		obs.Int("refills", stats.Refills), obs.Int("streamed", stats.StreamedEdges))
 	return a, stats, nil
+}
+
+// resident is the window: the unassigned edges held in memory, in stream
+// order, and the compact CSR of them that the grower runs on.
+type resident struct {
+	stream   <-chan StreamEdge
+	capacity int
+	numEdges int
+	// done is set once every edge has been streamed or the stream closed.
+	done  bool
+	edges []StreamEdge
+
+	// local[v] is global vertex v's id in g, or -1 when v has no resident
+	// edge; verts[l] is local vertex l's global id, and gid[e] local edge
+	// e's global id.
+	local []graph.Vertex
+	verts []graph.Vertex
+	gid   []graph.EdgeID
+	g     *graph.Graph
+	la    *partition.Assignment
+
+	peak, refills, streamed int
+	err                     error // the first malformed streamed edge
+}
+
+// refill pulls edges from the stream until the window holds its capacity or
+// the stream is done. sp is the run's trace span; refills that pulled edges
+// are recorded on it as instants (record-only).
+func (r *resident) refill(sp *obs.Span) {
+	pulled := false
+	for len(r.edges) < r.capacity && !r.done {
+		e, ok := <-r.stream
+		if !ok {
+			r.done = true
+			break
+		}
+		r.push(e)
+		r.done = r.streamed == r.numEdges
+		pulled = true
+	}
+	if pulled {
+		r.refills++
+		sp.Event("tlpsw.refill", obs.Int("window", len(r.edges)), obs.Int("streamed", r.streamed))
+	}
+	r.peak = max(r.peak, len(r.edges))
+}
+
+// drain consumes the rest of the stream into the window, so the producer's
+// close is observed before the run returns.
+func (r *resident) drain() {
+	for e := range r.stream {
+		r.push(e)
+	}
+	r.peak = max(r.peak, len(r.edges))
+}
+
+// push makes a streamed edge resident. An edge naming a vertex or edge id
+// outside the declared counts is dropped and recorded as the run's error.
+func (r *resident) push(e StreamEdge) {
+	r.streamed++
+	if e.U < 0 || int(e.U) >= len(r.local) || e.V < 0 || int(e.V) >= len(r.local) ||
+		e.ID < 0 || int(e.ID) >= r.numEdges {
+		if r.err == nil {
+			r.err = fmt.Errorf("window: streamed edge %d (%d, %d) outside %d vertices and %d edges",
+				e.ID, e.U, e.V, len(r.local), r.numEdges)
+		}
+		return
+	}
+	r.edges = append(r.edges, e)
+}
+
+// rebuild relabels the resident endpoints to local ids in ascending global
+// order and builds the CSR of the resident edges sorted by local (U, V), so
+// local edge ids follow global edge-id order on a graph-backed stream. A CSR
+// holds each pair once: copies of a pair after its first in stream order,
+// and self-loops, stay resident outside it, and a copy enters a later
+// rebuild once its twin is evicted. It returns the carried members that
+// are still resident, in local ids.
+func (r *resident) rebuild(p int, carry []graph.Vertex) ([]graph.Vertex, error) {
+	for _, v := range r.verts {
+		r.local[v] = -1
+	}
+	r.verts = r.verts[:0]
+	for _, e := range r.edges {
+		for _, v := range [2]graph.Vertex{e.U, e.V} {
+			if r.local[v] < 0 {
+				r.local[v] = 0
+				r.verts = append(r.verts, v)
+			}
+		}
+	}
+	slices.Sort(r.verts)
+	for l, v := range r.verts {
+		r.local[v] = graph.Vertex(l)
+	}
+	// Two stable counting passes over the local ids, by V and then by U,
+	// sort the edges by local (U, V) in linear time and keep the stream
+	// order among the copies of a pair.
+	sorted := make([]StreamEdge, len(r.edges))
+	for i, e := range r.edges {
+		u, v := r.local[e.U], r.local[e.V]
+		sorted[i] = StreamEdge{ID: e.ID, U: min(u, v), V: max(u, v)}
+	}
+	scratch := make([]StreamEdge, len(sorted))
+	countingSort(sorted, scratch, len(r.verts), func(e StreamEdge) graph.Vertex { return e.V })
+	countingSort(scratch, sorted, len(r.verts), func(e StreamEdge) graph.Vertex { return e.U })
+	edges := make([]graph.Edge, 0, len(sorted))
+	r.gid = r.gid[:0]
+	for i, e := range sorted {
+		if e.U == e.V || (i > 0 && e.U == sorted[i-1].U && e.V == sorted[i-1].V) {
+			continue
+		}
+		edges = append(edges, graph.Edge{U: e.U, V: e.V})
+		r.gid = append(r.gid, e.ID)
+	}
+	g, err := graph.FromEdges(len(r.verts), edges)
+	if err != nil {
+		return nil, fmt.Errorf("window: building the resident CSR: %w", err)
+	}
+	if r.la, err = partition.New(len(edges), p); err != nil {
+		return nil, err
+	}
+	r.g = g
+	var start []graph.Vertex
+	for _, v := range carry {
+		if l := r.local[v]; l >= 0 {
+			start = append(start, l)
+		}
+	}
+	return start, nil
+}
+
+// countingSort stably scatters src into dst by key, which lies in [0, n).
+func countingSort(src, dst []StreamEdge, n int, key func(StreamEdge) graph.Vertex) {
+	next := make([]int, n+1)
+	for _, e := range src {
+		next[key(e)+1]++
+	}
+	for i := 1; i <= n; i++ {
+		next[i] += next[i-1]
+	}
+	for _, e := range src {
+		k := key(e)
+		dst[next[k]] = e
+		next[k]++
+	}
+}
+
+// global maps local vertex ids to global ids in place.
+func (r *resident) global(vs []graph.Vertex) []graph.Vertex {
+	for i, v := range vs {
+		vs[i] = r.verts[v]
+	}
+	return vs
+}
+
+// writeBack copies the grower's assignments into a, once per rebuild.
+func (r *resident) writeBack(a *partition.Assignment) {
+	for e, id := range r.gid {
+		if k, ok := r.la.PartitionOf(graph.EdgeID(e)); ok {
+			a.Assign(id, k)
+		}
+	}
+	r.gid = r.gid[:0]
+}
+
+// slide writes the grower's assignments back, evicts the assigned edges and
+// refills the window.
+func (r *resident) slide(a *partition.Assignment, sp *obs.Span) {
+	r.writeBack(a)
+	r.edges = slices.DeleteFunc(r.edges, func(e StreamEdge) bool { return a.IsAssigned(e.ID) })
+	r.refill(sp)
 }

@@ -1,7 +1,10 @@
 package window
 
 import (
+	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -186,6 +189,20 @@ func TestWindowRejectsBadP(t *testing.T) {
 	}
 }
 
+// TestWindowRejectsOutOfRangeEdge: an edge naming a vertex or edge id
+// outside the declared counts is reported as an error, not a panic.
+func TestWindowRejectsOutOfRangeEdge(t *testing.T) {
+	for _, bad := range []StreamEdge{{ID: 1, U: 0, V: 9}, {ID: 1, U: -1, V: 2}, {ID: 7, U: 0, V: 2}} {
+		stream := make(chan StreamEdge, 2)
+		stream <- StreamEdge{ID: 0, U: 0, V: 1}
+		stream <- bad
+		close(stream)
+		if _, _, err := New(Config{}).PartitionChannel(stream, 5, 2, 2); err == nil {
+			t.Fatalf("edge %+v accepted", bad)
+		}
+	}
+}
+
 // TestWindowSourceMatchesGraphPath: Partition and PartitionStream over the
 // equivalent graph-backed source must agree byte for byte — the EdgeSource
 // rewiring must not change results.
@@ -302,6 +319,106 @@ func BenchmarkWindow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := New(Config{Seed: uint64(i)}).Partition(g, 10); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// samePlacement fails t unless a and b place every edge in the same
+// partition.
+func samePlacement(t *testing.T, label string, a, b *partition.Assignment) {
+	t.Helper()
+	diff := 0
+	for id := 0; id < a.NumEdges(); id++ {
+		ka, _ := a.PartitionOf(graph.EdgeID(id))
+		kb, _ := b.PartitionOf(graph.EdgeID(id))
+		if ka != kb {
+			diff++
+		}
+	}
+	if diff > 0 {
+		t.Errorf("%s: %d of %d edges placed differently from TLP", label, diff, a.NumEdges())
+	}
+}
+
+// TestWindowFullWindowIsTLP: with the window holding the whole graph, TLP-SW
+// grows on one CSR of every edge under a monotone relabel, so it must place
+// every edge where TLP does, whatever the stream order.
+func TestWindowFullWindowIsTLP(t *testing.T) {
+	orders := []source.Order{source.OrderBFS, source.OrderShuffled, source.OrderNatural}
+	for _, d := range gen.SmallDatasets()[:4] {
+		for _, seed := range []uint64{1, 42} {
+			g := d.Generate(seed)
+			for _, p := range []int{1, 4, 10} {
+				want, err := core.MustNew(core.Options{Seed: seed}).Partition(g, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, ord := range orders {
+					got, err := New(Config{Seed: seed, WindowEdges: g.NumEdges(), Order: ord}).Partition(g, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					samePlacement(t, fmt.Sprintf("%s seed=%d p=%d order=%d", d.Notation, seed, p, ord), got, want)
+				}
+			}
+		}
+	}
+	// Isolated vertices interleaved with the others (every even id) vanish
+	// from the window's CSR; the relabel keeps the order of the rest.
+	base := randomGraph(21, 300, 900)
+	b := graph.NewBuilder(2 * base.NumVertices())
+	for _, e := range base.Edges() {
+		_ = b.AddEdge(2*e.U+1, 2*e.V+1)
+	}
+	g := b.Build()
+	want, err := core.MustNew(core.Options{Seed: 22}).Partition(g, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := New(Config{Seed: 22, WindowEdges: 2 * g.NumEdges()}).Partition(g, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePlacement(t, "isolated vertices", got, want)
+}
+
+// TestWindowFileSourceDuplicates streams a file in which every third edge
+// repeats, reversed, right after itself. A CSR holds each pair once, so the
+// later copies wait in the window for their twin's eviction or fall to the
+// sweep; either way every edge is placed within capacity.
+func TestWindowFileSourceDuplicates(t *testing.T) {
+	g := randomGraph(19, 150, 400)
+	var sb strings.Builder
+	lines := 0
+	for i, e := range g.Edges() {
+		fmt.Fprintf(&sb, "%d %d\n", e.U, e.V)
+		lines++
+		if i%3 == 0 {
+			fmt.Fprintf(&sb, "%d %d\n", e.V, e.U)
+			lines++
+		}
+	}
+	path := filepath.Join(t.TempDir(), "dup.txt")
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src, err := source.OpenFile(path, source.FileConfig{DenseIDs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = src.Close() }()
+	const p = 4
+	capC := partition.Capacity(lines, p)
+	for _, win := range []int{0, 20, 100, lines} {
+		a, stats, err := New(Config{Seed: 20, WindowEdges: win}).PartitionStreamStats(src, p)
+		if err != nil {
+			t.Fatalf("window %d: %v", win, err)
+		}
+		if got := a.AssignedCount(); got != lines || stats.StreamedEdges != lines {
+			t.Fatalf("window %d: %d assigned, %d streamed, want %d", win, got, stats.StreamedEdges, lines)
+		}
+		if a.MaxLoad() > capC {
+			t.Fatalf("window %d: max load %d above capacity %d", win, a.MaxLoad(), capC)
 		}
 	}
 }
