@@ -217,10 +217,10 @@ func TestPublicAPISlidingWindowAndKL(t *testing.T) {
 }
 
 // TestPublicAPIPartitionerKeys pins the exact registry key set, including
-// the "flatkl" alias for "kl" and the "tlpsw" sliding-window key.
+// the "kl" flat-KL key and the "tlpsw" sliding-window key.
 func TestPublicAPIPartitionerKeys(t *testing.T) {
 	want := []string{
-		"dbh", "fennel", "flatkl", "greedy", "hdrf", "kl",
+		"dbh", "fennel", "greedy", "hdrf", "kl",
 		"ldg", "metis", "random", "tlp", "tlpsw",
 	}
 	all := graphpart.AllPartitioners(7)
@@ -231,11 +231,6 @@ func TestPublicAPIPartitionerKeys(t *testing.T) {
 	sort.Strings(got)
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("AllPartitioners keys = %v, want %v", got, want)
-	}
-	// The alias must be the same algorithm under both keys.
-	if all["kl"].Name() != all["flatkl"].Name() {
-		t.Fatalf("kl (%s) and flatkl (%s) name different partitioners",
-			all["kl"].Name(), all["flatkl"].Name())
 	}
 }
 

@@ -68,7 +68,7 @@ type Rule struct {
 func Rules() []Rule {
 	return []Rule{
 		{Code: "GL001", Doc: "order-sensitive accumulation (append / channel send) inside a map-range body", check: checkGL001},
-		{Code: "GL002", Doc: "math/rand import outside internal/rng, or time.Now call outside the clock allowlist (internal/obs, internal/wire/deadline.go)", check: checkGL002},
+		{Code: "GL002", Doc: "math/rand import outside internal/rng", check: checkGL002},
 		{Code: "GL003", Doc: "fmt.Print* call or os.Stdout reference in an internal/ library package", check: checkGL003},
 		{Code: "GL004", Doc: "floating-point += / -= on a captured variable inside goroutine-launched code", check: checkGL004},
 		{Code: "GL005", Doc: "exported identifier in the root package without a doc comment", check: checkGL005},

@@ -417,12 +417,12 @@ func sortEdges(edges []CallEdge) {
 }
 
 // isSeamPackage reports whether path (module-relative) is one of the
-// sanctioned nondeterminism seams: the sites GL002/GL007 already allow
+// sanctioned nondeterminism seams: the sites GL002 and GL007 already allow
 // and through which every clock read and random draw is required to flow.
 // GL009's certificate traversal stops at a seam boundary — a path into
 // internal/rng is a *seeded* draw by construction, a path into internal/obs
 // is record-only telemetry, and internal/wire's only wall-clock read is the
-// deadline arming in deadline.go (GL002/GL007 flag any other wire file;
+// deadline arming in deadline.go (GL007 flags any other wire file;
 // the cluster telemetry-upload path records and timestamps exclusively
 // through obs), which never influences results (DESIGN.md §14).
 func (m *Module) isSeamPackage(pkg *Package) bool {

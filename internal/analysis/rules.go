@@ -104,53 +104,27 @@ func baseIdent(expr ast.Expr) *ast.Ident {
 }
 
 // ---------------------------------------------------------------------------
-// GL002 — nondeterministic inputs: math/rand and time.Now.
+// GL002 — unseeded randomness: math/rand imports.
 //
 // Every random decision in the repository must flow through internal/rng's
 // seeded SplitMix64/xoshiro generator so that runs are reproducible across
-// machines and Go versions, and wall-clock time must never influence an
-// algorithm. Only internal/rng may import math/rand (it wraps the seeded
-// generator), and only two sites may call time.Now: internal/obs (the
-// sanctioned clock seam) and — file-scoped, not package-wide — internal/wire's
-// deadline.go (net.Conn deadlines compare against the kernel's wall clock,
-// so an injected obs.Clock would hang socket I/O). The rest of internal/wire
-// is held to the seam: its telemetry-upload and span-recording paths time
-// everything through obs, so a clock read in any other wire file is a bug.
-// Elapsed-time measurement everywhere else goes through obs.StartWatch,
-// which respects the injectable obs.Clock.
+// machines and Go versions. Only internal/rng may import math/rand (it wraps
+// the seeded generator). Wall-clock reads are GL007's concern.
 // ---------------------------------------------------------------------------
 
 func checkGL002(pkg *Package, r *reporter) {
-	if !pkg.isAt("internal/rng") {
-		for _, f := range pkg.Files {
-			for _, imp := range f.Imports {
-				p := strings.Trim(imp.Path.Value, `"`)
-				if p == "math/rand" || p == "math/rand/v2" {
-					r.report(imp.Pos(), "GL002",
-						"import of %s outside internal/rng: all randomness must flow through the seeded internal/rng generator", p)
-				}
-			}
-		}
-	}
-	if pkg.isAt("internal/obs") {
+	if pkg.isAt("internal/rng") {
 		return
 	}
-	wireDeadline := pkg.isAt("internal/wire")
-	inspectFiles(pkg, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func); ok &&
-			fn.Pkg() != nil && fn.Pkg().Path() == "time" && fn.Name() == "Now" {
-			if wireDeadline && pkg.inFile(sel.Pos(), "deadline.go") {
-				return true
+	for _, f := range pkg.Files {
+		for _, imp := range f.Imports {
+			p := strings.Trim(imp.Path.Value, `"`)
+			if p == "math/rand" || p == "math/rand/v2" {
+				r.report(imp.Pos(), "GL002",
+					"import of %s outside internal/rng: all randomness must flow through the seeded internal/rng generator", p)
 			}
-			r.report(sel.Pos(), "GL002",
-				"time.Now outside the clock allowlist (internal/obs, internal/wire/deadline.go): wall-clock must not influence results; measure elapsed time with obs.StartWatch")
 		}
-		return true
-	})
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -390,8 +364,8 @@ func badValueType(t types.Type) string {
 // instantly expire) real socket I/O. The rest of internal/wire gets no
 // allowance — its worker spans, barrier-skew instants and telemetry-upload
 // codec all time through obs, so those paths stay deterministic under an
-// injected clock. GL002 separately flags time.Now as a nondeterminism
-// source; GL007 covers the derived helpers and enforces the seam itself.
+// injected clock. GL007 is the one clock rule: it flags time.Now as well as
+// the derived helpers.
 // ---------------------------------------------------------------------------
 
 func checkGL007(pkg *Package, r *reporter) {

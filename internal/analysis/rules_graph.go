@@ -37,8 +37,8 @@ func ModuleRules() []ModuleRule {
 //
 // A partition run must be a pure function of (graph, options, seed) — that
 // is what the FNV golden oracles and the worker sweeps pin at runtime. GL002
-// and GL007 approximate this at the import level; GL009 proves it over the
-// call graph: from every exported facade entry point (Partition, Refine,
+// (math/rand imports) and GL007 (clock reads) approximate this per package;
+// GL009 proves it over the call graph: from every exported facade entry point (Partition, Refine,
 // Run*, Stream*, and every registered partitioner's Partition method), no
 // path may reach a time.Now/Since/Until call or a math/rand / crypto/rand
 // draw, except through the sanctioned seams (internal/rng: seeded by

@@ -1,6 +1,6 @@
-// Package gl002bad holds GL002 violations: unseeded randomness and
-// wall-clock reads outside the exempt packages. The time.Now read is also a
-// GL007 clock-seam bypass.
+// Package gl002bad holds GL002 violations: unseeded randomness outside
+// internal/rng. The time.Now read is a GL007 clock-seam bypass, not a GL002
+// one.
 package gl002bad
 
 import (
@@ -10,5 +10,5 @@ import (
 
 // Jitter mixes wall-clock state into a computation.
 func Jitter() int64 {
-	return time.Now().UnixNano() + int64(rand.Intn(10)) // want GL002 GL007
+	return time.Now().UnixNano() + int64(rand.Intn(10)) // want GL007
 }

@@ -1,7 +1,5 @@
-// Package gl007bad holds GL007 violations: wall-clock helpers called
-// outside the internal/obs clock seam. time.Since / time.Until bypass the
-// injectable Clock without being flagged by GL002 (they are not time.Now),
-// which is exactly the gap GL007 closes.
+// Package gl007bad holds GL007 violations: wall-clock reads (time.Now and
+// the derived time.Since / time.Until) outside the internal/obs clock seam.
 package gl007bad
 
 import "time"
@@ -18,10 +16,9 @@ func Remaining(deadline time.Time) time.Duration {
 
 // ArmDeadline arms a socket deadline from the wall clock. This exact
 // construct is exempt inside internal/wire (see the gl007wire snippet) but
-// flagged everywhere else: time.Now draws both the GL002 nondeterminism
-// diagnostic and the GL007 clock-seam diagnostic.
+// flagged everywhere else.
 func ArmDeadline(c Conn, d time.Duration) error {
-	return c.SetDeadline(time.Now().Add(d)) // want GL002 GL007
+	return c.SetDeadline(time.Now().Add(d)) // want GL007
 }
 
 // Conn is the deadline-bearing slice of net.Conn, declared locally so the

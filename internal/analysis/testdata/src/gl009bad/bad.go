@@ -19,7 +19,7 @@ func prepare(n int) int {
 }
 
 func stamp() int {
-	return int(time.Now().UnixNano()) // want GL009 GL002 GL007
+	return int(time.Now().UnixNano()) // want GL009 GL007
 }
 
 // Refine is a facade entry point drawing unseeded randomness directly.

@@ -28,13 +28,14 @@ func NewGrower(g *graph.Graph, a *partition.Assignment, opts Options) (*Grower, 
 
 // Grow runs one round of partition k on the bound graph: the round starts
 // from the members in start (vertices of the bound graph, absorbed in order)
-// or from a random seed, and assigns at most room edges. It returns the
+// or from a random seed, and assigns at most room edges. The round's
+// tlp.round span and its stage segments are children of sp. It returns the
 // number of edges assigned.
-func (gr *Grower) Grow(k, room int, start []graph.Vertex) int {
+func (gr *Grower) Grow(k, room int, start []graph.Vertex, sp *obs.Span) int {
 	st := gr.st
 	left, base := st.left, gr.load[k]
 	st.growRound(k, room, start, func(ein, eout int64) bool { return base+ein <= eout },
-		&Stats{}, &obs.Span{})
+		&Stats{}, sp)
 	n := left - st.left
 	gr.load[k] += int64(n)
 	return n

@@ -76,9 +76,10 @@ func mPrime(ein, eout, cin, cout int64) float64 {
 	return float64(ein+cin) / float64(denom)
 }
 
-// MuS2 exposes the paper's Eq. 9 value for a candidate, given the current
-// partition state; used by tests to cross-check selectStage2 against a
-// brute-force argmax of the published formula.
+// MuS2 returns the paper's Eq. 9 value for a candidate, given the current
+// partition state. selectStage2 ranks by M' instead (DESIGN.md §1,
+// deviation 8), and the two orders agree only where 1+ΔM > 0. The TestMuS2*
+// tests pin that agreement; no stage-II selection check calls MuS2.
 func MuS2(ein, eout, cin, cout int64) float64 {
 	if eout <= 0 {
 		// M undefined (no external edges): absorbing anything can only

@@ -129,7 +129,7 @@ func TestWattsStrogatz(t *testing.T) {
 		t.Fatalf("WS edges %d, want ~1500", m)
 	}
 	// Low beta keeps high clustering.
-	if c := graph.GlobalClusteringCoefficient(g); c < 0.3 {
+	if c := GlobalClusteringCoefficient(g); c < 0.3 {
 		t.Fatalf("WS clustering %.2f, want high", c)
 	}
 	if g := WattsStrogatz(2, 2, 0.5, rng.New(1)); g.NumEdges() != 0 {
@@ -149,8 +149,8 @@ func TestPlantedCommunitiesStructure(t *testing.T) {
 	// Community graphs should have much higher clustering than a random
 	// graph of the same density.
 	er := ErdosRenyi(600, g.NumEdges(), rng.New(8))
-	cg := graph.GlobalClusteringCoefficient(g)
-	ce := graph.GlobalClusteringCoefficient(er)
+	cg := GlobalClusteringCoefficient(g)
+	ce := GlobalClusteringCoefficient(er)
 	if cg < 2*ce {
 		t.Fatalf("planted communities clustering %.3f not above random %.3f", cg, ce)
 	}
@@ -168,8 +168,8 @@ func TestCollaborationStructure(t *testing.T) {
 	// Clique unions imply clustering far above a random graph of equal
 	// density (prolific-author overlap dilutes it below a pure clique
 	// union, so compare against the ER baseline rather than a constant).
-	cg := graph.GlobalClusteringCoefficient(g)
-	ce := graph.GlobalClusteringCoefficient(ErdosRenyi(1200, g.NumEdges(), rng.New(9)))
+	cg := GlobalClusteringCoefficient(g)
+	ce := GlobalClusteringCoefficient(ErdosRenyi(1200, g.NumEdges(), rng.New(9)))
 	if cg < 5*ce || cg < 0.05 {
 		t.Fatalf("collaboration clustering %.3f not well above random %.3f", cg, ce)
 	}
@@ -185,12 +185,12 @@ func TestGenealogyStructure(t *testing.T) {
 		t.Fatalf("E=%d, want exactly 8150", g.NumEdges())
 	}
 	// Tree-like: low clustering, large diameter estimate.
-	if c := graph.GlobalClusteringCoefficient(g); c > 0.1 {
+	if c := GlobalClusteringCoefficient(g); c > 0.1 {
 		t.Fatalf("genealogy clustering %.3f too high for tree-like graph", c)
 	}
 	// Tree-like structure implies diameters well beyond a dense graph's
 	// 2-3, even though patriarch hubs keep generations shallow.
-	if d := graph.Diameter2Sweep(g, 0); d < 5 {
+	if d := Diameter2Sweep(g, 0); d < 5 {
 		t.Fatalf("genealogy diameter estimate %d, expected long paths", d)
 	}
 }

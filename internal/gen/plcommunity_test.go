@@ -68,7 +68,7 @@ func TestPLCCommunitiesConcentrateEdges(t *testing.T) {
 			Vertices: 3000, TargetEdges: 15000, Exponent: 2.1,
 			Communities: 30, IntraFraction: frac,
 		}, rng.New(5))
-		return graph.GlobalClusteringCoefficient(g)
+		return GlobalClusteringCoefficient(g)
 	}
 	withComms, without := at(0.55), at(0.01)
 	if withComms <= without {
@@ -82,7 +82,7 @@ func TestPLCIntraFractionMatters(t *testing.T) {
 		g := PowerLawCommunities(PowerLawCommunityConfig{
 			Vertices: 2000, TargetEdges: 10000, Exponent: 2.1, IntraFraction: frac,
 		}, rng.New(9))
-		return graph.GlobalClusteringCoefficient(g)
+		return GlobalClusteringCoefficient(g)
 	}
 	lo, hi := at(0.2), at(0.8)
 	if hi <= lo {

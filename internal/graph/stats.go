@@ -90,67 +90,3 @@ func (s Stats) String() string {
 		s.Vertices, s.Edges, s.MinDegree, s.MedDegree, s.AvgDegree, s.MaxDegree, s.DegreeGini,
 		s.Components, 100*s.LargestComponentFrac)
 }
-
-// DegreeHistogram returns counts[d] = number of vertices with degree d.
-func DegreeHistogram(g *Graph) []int {
-	counts := make([]int, g.MaxDegree()+1)
-	for v := 0; v < g.NumVertices(); v++ {
-		counts[g.Degree(Vertex(v))]++
-	}
-	return counts
-}
-
-// TriangleCount returns the exact number of triangles in g using the
-// forward (oriented neighbour intersection) algorithm. Intended for the
-// small graphs in tests; O(m^{3/2}) worst case.
-func TriangleCount(g *Graph) int64 {
-	var count int64
-	n := g.NumVertices()
-	for u := 0; u < n; u++ {
-		uu := Vertex(u)
-		nu := g.Neighbors(uu)
-		for _, v := range nu {
-			if v <= uu {
-				continue
-			}
-			// Intersect higher neighbours of u and v.
-			count += countCommonAbove(nu, g.Neighbors(v), v)
-		}
-	}
-	return count
-}
-
-// countCommonAbove counts values present in both sorted slices that are
-// strictly greater than floor.
-func countCommonAbove(a, b []Vertex, floor Vertex) int64 {
-	i := sort.Search(len(a), func(i int) bool { return a[i] > floor })
-	j := sort.Search(len(b), func(i int) bool { return b[i] > floor })
-	var c int64
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			c++
-			i++
-			j++
-		}
-	}
-	return c
-}
-
-// GlobalClusteringCoefficient returns 3*triangles / open-and-closed-wedges,
-// or 0 if the graph has no wedges. Exact; use on small/medium graphs.
-func GlobalClusteringCoefficient(g *Graph) float64 {
-	var wedges int64
-	for v := 0; v < g.NumVertices(); v++ {
-		d := int64(g.Degree(Vertex(v)))
-		wedges += d * (d - 1) / 2
-	}
-	if wedges == 0 {
-		return 0
-	}
-	return 3 * float64(TriangleCount(g)) / float64(wedges)
-}

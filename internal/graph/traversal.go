@@ -1,40 +1,5 @@
 package graph
 
-// BFS visits vertices reachable from src in breadth-first order, calling
-// visit(v, depth) for each. If visit returns false the traversal stops.
-func BFS(g *Graph, src Vertex, visit func(v Vertex, depth int) bool) {
-	seen := make([]bool, g.NumVertices())
-	type item struct {
-		v     Vertex
-		depth int
-	}
-	queue := []item{{src, 0}}
-	seen[src] = true
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if !visit(cur.v, cur.depth) {
-			return
-		}
-		for _, w := range g.Neighbors(cur.v) {
-			if !seen[w] {
-				seen[w] = true
-				queue = append(queue, item{w, cur.depth + 1})
-			}
-		}
-	}
-}
-
-// BFSOrder returns all vertices reachable from src in BFS order.
-func BFSOrder(g *Graph, src Vertex) []Vertex {
-	var order []Vertex
-	BFS(g, src, func(v Vertex, _ int) bool {
-		order = append(order, v)
-		return true
-	})
-	return order
-}
-
 // ConnectedComponents labels every vertex with a component id in [0, count)
 // and returns the labels and the component count. Isolated vertices form
 // singleton components.
@@ -65,72 +30,4 @@ func ConnectedComponents(g *Graph) (labels []int32, count int) {
 		}
 	}
 	return labels, count
-}
-
-// LargestComponent returns the vertices of the largest connected component.
-func LargestComponent(g *Graph) []Vertex {
-	labels, count := ConnectedComponents(g)
-	if count == 0 {
-		return nil
-	}
-	sizes := make([]int, count)
-	for _, l := range labels {
-		sizes[l]++
-	}
-	best := 0
-	for i, s := range sizes {
-		if s > sizes[best] {
-			best = i
-		}
-	}
-	out := make([]Vertex, 0, sizes[best])
-	for v, l := range labels {
-		if l == int32(best) {
-			out = append(out, Vertex(v))
-		}
-	}
-	return out
-}
-
-// InducedSubgraph returns the subgraph induced by keep, along with the map
-// from new dense ids to the original vertex ids. Vertices in keep are
-// renumbered 0..len(keep)-1 in the order given; duplicate entries are an
-// error surfaced by panicking in debug builds — callers pass sets.
-func InducedSubgraph(g *Graph, keep []Vertex) (*Graph, []Vertex) {
-	newID := make(map[Vertex]Vertex, len(keep))
-	for i, v := range keep {
-		newID[v] = Vertex(i)
-	}
-	b := NewBuilder(len(keep))
-	for i, v := range keep {
-		for _, w := range g.Neighbors(v) {
-			if nw, ok := newID[w]; ok && Vertex(i) < nw {
-				// Builder canonicalises; adding once per pair via i<nw.
-				_ = b.AddEdge(Vertex(i), nw)
-			}
-		}
-	}
-	orig := append([]Vertex(nil), keep...)
-	return b.Build(), orig
-}
-
-// Diameter2Sweep estimates the graph diameter with the classic double-sweep
-// lower bound: BFS from src to the farthest vertex f, then BFS from f; the
-// greatest depth reached is returned. Exact on trees, a lower bound
-// otherwise.
-func Diameter2Sweep(g *Graph, src Vertex) int {
-	far, _ := farthest(g, src)
-	_, depth := farthest(g, far)
-	return depth
-}
-
-func farthest(g *Graph, src Vertex) (Vertex, int) {
-	best, bestDepth := src, 0
-	BFS(g, src, func(v Vertex, d int) bool {
-		if d > bestDepth {
-			best, bestDepth = v, d
-		}
-		return true
-	})
-	return best, bestDepth
 }

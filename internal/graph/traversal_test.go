@@ -10,59 +10,6 @@ func twoTriangles(t *testing.T) *Graph {
 	return MustFromEdges(6, []Edge{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}})
 }
 
-func TestBFSOrderOnPath(t *testing.T) {
-	g := path(t, 5)
-	order := BFSOrder(g, 0)
-	want := []Vertex{0, 1, 2, 3, 4}
-	if len(order) != len(want) {
-		t.Fatalf("BFS order %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("BFS order %v, want %v", order, want)
-		}
-	}
-}
-
-func TestBFSDepths(t *testing.T) {
-	g := path(t, 4)
-	depths := map[Vertex]int{}
-	BFS(g, 0, func(v Vertex, d int) bool {
-		depths[v] = d
-		return true
-	})
-	for v, want := range map[Vertex]int{0: 0, 1: 1, 2: 2, 3: 3} {
-		if depths[v] != want {
-			t.Fatalf("depth(%d)=%d, want %d", v, depths[v], want)
-		}
-	}
-}
-
-func TestBFSEarlyStop(t *testing.T) {
-	g := path(t, 10)
-	visited := 0
-	BFS(g, 0, func(Vertex, int) bool {
-		visited++
-		return visited < 3
-	})
-	if visited != 3 {
-		t.Fatalf("visited %d vertices after early stop, want 3", visited)
-	}
-}
-
-func TestBFSStaysInComponent(t *testing.T) {
-	g := twoTriangles(t)
-	order := BFSOrder(g, 0)
-	if len(order) != 3 {
-		t.Fatalf("BFS crossed components: %v", order)
-	}
-	for _, v := range order {
-		if v > 2 {
-			t.Fatalf("BFS reached other component: %v", order)
-		}
-	}
-}
-
 func TestConnectedComponents(t *testing.T) {
 	g := twoTriangles(t)
 	labels, count := ConnectedComponents(g)
@@ -85,85 +32,6 @@ func TestConnectedComponentsIsolated(t *testing.T) {
 	_, count := ConnectedComponents(g)
 	if count != 4 {
 		t.Fatalf("4 isolated vertices formed %d components", count)
-	}
-}
-
-func TestLargestComponent(t *testing.T) {
-	// Triangle {0,1,2} plus edge {3,4} plus isolated 5.
-	g := MustFromEdges(6, []Edge{{0, 1}, {1, 2}, {0, 2}, {3, 4}})
-	lc := LargestComponent(g)
-	if len(lc) != 3 {
-		t.Fatalf("largest component size %d, want 3", len(lc))
-	}
-	for _, v := range lc {
-		if v > 2 {
-			t.Fatalf("unexpected vertex %d in largest component", v)
-		}
-	}
-}
-
-func TestLargestComponentEmpty(t *testing.T) {
-	if lc := LargestComponent(NewBuilder(0).Build()); lc != nil {
-		t.Fatalf("empty graph largest component = %v", lc)
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	g := k4(t)
-	sub, orig := InducedSubgraph(g, []Vertex{1, 2, 3})
-	if sub.NumVertices() != 3 || sub.NumEdges() != 3 {
-		t.Fatalf("induced K3: V=%d E=%d", sub.NumVertices(), sub.NumEdges())
-	}
-	if len(orig) != 3 || orig[0] != 1 || orig[1] != 2 || orig[2] != 3 {
-		t.Fatalf("orig mapping %v", orig)
-	}
-}
-
-func TestInducedSubgraphNoEdges(t *testing.T) {
-	g := path(t, 5)
-	sub, _ := InducedSubgraph(g, []Vertex{0, 2, 4})
-	if sub.NumEdges() != 0 {
-		t.Fatalf("non-adjacent vertices induced %d edges", sub.NumEdges())
-	}
-}
-
-func TestDiameter2Sweep(t *testing.T) {
-	if d := Diameter2Sweep(path(t, 10), 4); d != 9 {
-		t.Fatalf("path diameter estimate %d, want 9", d)
-	}
-	if d := Diameter2Sweep(k4(t), 0); d != 1 {
-		t.Fatalf("K4 diameter estimate %d, want 1", d)
-	}
-}
-
-func TestTriangleCount(t *testing.T) {
-	cases := []struct {
-		name string
-		g    *Graph
-		want int64
-	}{
-		{"K4", k4(t), 4},
-		{"two triangles", twoTriangles(t), 2},
-		{"path", path(t, 6), 0},
-		{"empty", NewBuilder(3).Build(), 0},
-	}
-	for _, tc := range cases {
-		if got := TriangleCount(tc.g); got != tc.want {
-			t.Errorf("%s: TriangleCount = %d, want %d", tc.name, got, tc.want)
-		}
-	}
-}
-
-func TestGlobalClusteringCoefficient(t *testing.T) {
-	// K4: every wedge closes -> coefficient 1.
-	if c := GlobalClusteringCoefficient(k4(t)); c != 1 {
-		t.Fatalf("K4 clustering %v, want 1", c)
-	}
-	if c := GlobalClusteringCoefficient(path(t, 5)); c != 0 {
-		t.Fatalf("path clustering %v, want 0", c)
-	}
-	if c := GlobalClusteringCoefficient(NewBuilder(2).Build()); c != 0 {
-		t.Fatalf("edgeless clustering %v, want 0", c)
 	}
 }
 
@@ -191,14 +59,6 @@ func TestComputeStatsEmpty(t *testing.T) {
 	s := ComputeStats(NewBuilder(0).Build())
 	if s.Vertices != 0 || s.Edges != 0 || s.Components != 0 {
 		t.Fatalf("empty stats: %+v", s)
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := path(t, 4) // degrees: 1,2,2,1
-	h := DegreeHistogram(g)
-	if len(h) != 3 || h[0] != 0 || h[1] != 2 || h[2] != 2 {
-		t.Fatalf("histogram %v", h)
 	}
 }
 

@@ -192,7 +192,7 @@ func (w *Partitioner) PartitionChannel(stream <-chan StreamEdge, numVertices, nu
 				// the partition's next round sees new context.
 				room = min(room, max(1, len(win.edges)/2))
 			}
-			n := gr.Grow(k, room, start)
+			n := gr.Grow(k, room, start, &gsp)
 			if n == 0 {
 				break // nothing left in the window, and the stream is done
 			}

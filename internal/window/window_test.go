@@ -11,6 +11,7 @@ import (
 	"github.com/graphpart/graphpart/internal/core"
 	"github.com/graphpart/graphpart/internal/gen"
 	"github.com/graphpart/graphpart/internal/graph"
+	"github.com/graphpart/graphpart/internal/obs"
 	"github.com/graphpart/graphpart/internal/partition"
 	"github.com/graphpart/graphpart/internal/rng"
 	"github.com/graphpart/graphpart/internal/source"
@@ -421,4 +422,61 @@ func TestWindowFileSourceDuplicates(t *testing.T) {
 			t.Fatalf("window %d: max load %d above capacity %d", win, a.MaxLoad(), capC)
 		}
 	}
+}
+
+// TestWindowTracedRunRecordsRounds: with telemetry on, every growth round
+// of TLP-SW records core's tlp.round span and its stage segments under the
+// tlpsw.partition trace, and every edge lands where the untraced run put
+// it.
+func TestWindowTracedRunRecordsRounds(t *testing.T) {
+	wasOn := obs.Enabled()
+	t.Cleanup(func() {
+		if wasOn {
+			obs.Enable()
+		} else {
+			obs.Disable()
+		}
+		obs.ResetTrace()
+	})
+	g := gen.SmallDatasets()[0].Generate(3)
+	cfg := Config{Seed: 3}
+	obs.Disable()
+	plain, err := New(cfg).Partition(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs.Enable()
+	obs.ResetTrace()
+	traced, err := New(cfg).Partition(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, dropped := obs.TraceRecords()
+	if dropped > 0 {
+		t.Fatalf("trace ring dropped %d records", dropped)
+	}
+	track := int32(-1)
+	for _, r := range recs {
+		if r.Name == "tlpsw.partition" {
+			track = r.Track
+		}
+	}
+	if track < 0 {
+		t.Fatal("no tlpsw.partition span recorded")
+	}
+	count := map[string]int{}
+	for _, r := range recs {
+		if r.Track == track {
+			count[r.Name]++
+		}
+	}
+	for _, name := range []string{"tlpsw.grow", "tlp.round", "tlp.stage1"} {
+		if count[name] == 0 {
+			t.Errorf("no %s span under tlpsw.partition (recorded: %v)", name, count)
+		}
+	}
+	if count["tlp.round"] < count["tlpsw.grow"] {
+		t.Errorf("%d tlp.round spans for %d tlpsw.grow spans", count["tlp.round"], count["tlpsw.grow"])
+	}
+	samePlacement(t, "traced TLP-SW against untraced", traced, plain)
 }

@@ -13,8 +13,8 @@ const setupTimeout = 30 * time.Second
 // net.Conn deadlines are compared against the kernel's
 // clock by the runtime poller, so they must be wall-clock by construction —
 // routing them through the injectable obs.Clock would make socket I/O hang
-// forever under a test's fake clock. graphlint's GL002/GL007 clock-seam
-// rules allowlist this file for exactly this helper; keep every
+// forever under a test's fake clock. graphlint's GL007 clock-seam
+// rule allowlists this file for exactly this helper; keep every
 // deadline computation in the package going through it so the exemption
 // stays one line wide in practice.
 func wallDeadline(d time.Duration) time.Time {

@@ -79,9 +79,8 @@ func NewFlatKL(cfg METISConfig) Partitioner { return metis.NewFlatKL(cfg) }
 // keyed by lower-case name; handy for CLIs and comparisons.
 //
 // Two entries carry naming notes: "tlpsw" is the sliding-window TLP variant
-// (NewSlidingTLP), and the flat Kernighan-Lin-family baseline is registered
-// under both "kl" (historical) and "flatkl" (matching its constructor
-// NewFlatKL) — the two keys hold equivalent, identically-seeded instances.
+// (NewSlidingTLP), and "kl" is the flat Kernighan-Lin-family baseline
+// (NewFlatKL), whose Name is "KL".
 func AllPartitioners(seed uint64) map[string]Partitioner {
 	return map[string]Partitioner{
 		"tlp":    NewTLP(TLPOptions{Seed: seed}),
@@ -94,6 +93,5 @@ func AllPartitioners(seed uint64) map[string]Partitioner {
 		"hdrf":   NewHDRF(seed, OrderShuffled, 0),
 		"tlpsw":  NewSlidingTLP(SlidingWindowConfig{Seed: seed}),
 		"kl":     NewFlatKL(METISConfig{Seed: seed}),
-		"flatkl": NewFlatKL(METISConfig{Seed: seed}),
 	}
 }
