@@ -5,19 +5,18 @@ import (
 	"sort"
 	"testing"
 
-	graphpart "github.com/graphpart/graphpart"
 	"github.com/graphpart/graphpart/internal/engine"
 )
 
 // TestMachinesStructure checks the flat machine layout New builds for every
-// registered partitioner at p in {2, 8, 32}: rows in strictly ascending
-// canonical slot order that match the graph, local ids of every arc's
-// neighbour, master accumulators of degree length, mirror lists equal to
-// the other replicas sorted by machine id, the master election rule, and
+// partitioner in oraclePartitioners at p in {2, 8, 32}: rows in strictly
+// ascending canonical slot order that match the graph, local ids of every
+// arc's neighbour, master accumulators of degree length, mirror lists equal
+// to the other replicas sorted by machine id, the master election rule, and
 // the replica and master counts in Stats.
 func TestMachinesStructure(t *testing.T) {
 	g := oracleGraph(11, 500, 2000)
-	parts := graphpart.AllPartitioners(42)
+	parts := oraclePartitioners()
 	names := make([]string, 0, len(parts))
 	for name := range parts {
 		names = append(names, name)

@@ -30,9 +30,20 @@ func oracleGraph(seed uint64, n, extra int) *graph.Graph {
 	return b.Build()
 }
 
+// oraclePartitioners is every registered partitioner (seed 42) plus
+// "flatkl": FlatKL from its public constructor with one FM pass and one
+// initial trial. The registry holds FlatKL once, under "kl", at its
+// defaults; the lightly refined variant gives the runtime a second,
+// different Kernighan-Lin layout to reproduce.
+func oraclePartitioners() map[string]graphpart.Partitioner {
+	parts := graphpart.AllPartitioners(42)
+	parts["flatkl"] = graphpart.NewFlatKL(graphpart.METISConfig{Seed: 42, FMPasses: 1, InitialTrials: 1})
+	return parts
+}
+
 // TestTCPOracleBitIdentical is the acceptance oracle of the wire layer: for
-// every registered partitioner, at p in {2, 8}, PageRank, connected
-// components and SSSP executed over real TCP sockets must return values
+// every partitioner in oraclePartitioners, at p in {2, 8}, PageRank,
+// connected components and SSSP executed over real TCP sockets must return values
 // bit-for-bit equal to the plain sequential loop, with the same superstep
 // count — the network changes how bytes move, not what gets computed.
 func TestTCPOracleBitIdentical(t *testing.T) {
@@ -47,7 +58,7 @@ func TestTCPOracleBitIdentical(t *testing.T) {
 		{"components", func() engine.Program { return &engine.Components{} }, 50},
 		{"sssp", func() engine.Program { return &engine.SSSP{Source: 0} }, 50},
 	}
-	parts := graphpart.AllPartitioners(42)
+	parts := oraclePartitioners()
 	names := make([]string, 0, len(parts))
 	for name := range parts {
 		names = append(names, name)
