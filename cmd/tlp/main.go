@@ -52,11 +52,23 @@ func main() {
 	}
 }
 
+// algoNames lists every -algo value: the sorted AllPartitioners keys, then
+// tlpr, the one family built from its own flag (-r).
+func algoNames() []string {
+	all := graphpart.AllPartitioners(0)
+	names := make([]string, 0, len(all)+1)
+	for n := range all {
+		names = append(names, n) //lint:ignore GL001 sorted on the next line
+	}
+	sort.Strings(names)
+	return append(names, "tlpr")
+}
+
 func run() error {
 	var (
 		input    = flag.String("input", "", "edge-list file (SNAP format; .gz ok)")
 		dataset  = flag.String("dataset", "", "built-in dataset notation (G1..G9)")
-		algo     = flag.String("algo", "tlp", "algorithm: tlp|tlpr|metis|ldg|fennel|dbh|random|greedy|hdrf")
+		algo     = flag.String("algo", "tlp", "algorithm: "+strings.Join(algoNames(), "|"))
 		p        = flag.Int("p", 10, "number of partitions")
 		r        = flag.Float64("r", 0.5, "stage ratio for -algo tlpr")
 		seed     = flag.Uint64("seed", 42, "random seed")
@@ -134,15 +146,9 @@ func runBody(input, dataset, algo string, p int, r float64, seed uint64,
 		}
 		tlpStats = &st
 	default:
-		all := graphpart.AllPartitioners(seed)
-		pt, ok := all[strings.ToLower(algo)]
+		pt, ok := graphpart.AllPartitioners(seed)[strings.ToLower(algo)]
 		if !ok {
-			names := make([]string, 0, len(all))
-			for n := range all {
-				names = append(names, n) //lint:ignore GL001 sorted on the next line
-			}
-			sort.Strings(names)
-			return nil, fmt.Errorf("unknown algorithm %q (have: %s, tlpr)", algo, strings.Join(names, ", "))
+			return nil, fmt.Errorf("unknown algorithm %q (have: %s)", algo, strings.Join(algoNames(), ", "))
 		}
 		a, err = pt.Partition(g, p)
 		if err != nil {

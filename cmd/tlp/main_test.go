@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -44,6 +45,24 @@ func TestLoadGraphModes(t *testing.T) {
 	}
 	if _, err := loadGraph(filepath.Join(t.TempDir(), "missing.txt"), "", 1); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestAlgoHelpNamesEveryFamily checks the -algo help (algoNames joined by
+// "|") lists every registry key and tlpr, each once.
+func TestAlgoHelpNamesEveryFamily(t *testing.T) {
+	listed := algoNames()
+	want := []string{"tlpr"}
+	for key := range graphpart.AllPartitioners(1) {
+		want = append(want, key)
+	}
+	if len(listed) != len(want) {
+		t.Fatalf("-algo help lists %v, want the %d names %v", listed, len(want), want)
+	}
+	for _, key := range want {
+		if !slices.Contains(listed, key) {
+			t.Errorf("-algo help %v leaves out %q", listed, key)
+		}
 	}
 }
 

@@ -14,8 +14,9 @@ import (
 // switch, M <= 1). One call on the whole graph per partition, with room C
 // and no starting members, is a TLP run.
 type Grower struct {
-	st   *runState
-	load []int64 // edges each partition gained through Grow
+	st    *runState
+	load  []int64 // edges each partition gained through Grow
+	stats Stats   // summed over every Grow call
 }
 
 // NewGrower returns a grower over g whose assignment a is still empty.
@@ -33,13 +34,20 @@ func NewGrower(g *graph.Graph, a *partition.Assignment, opts Options) (*Grower, 
 // number of edges assigned.
 func (gr *Grower) Grow(k, room int, start []graph.Vertex, sp *obs.Span) int {
 	st := gr.st
-	left, base := st.left, gr.load[k]
+	left, base, evals := st.left, gr.load[k], st.s1Evals
+	gr.stats.Rounds++
 	st.growRound(k, room, start, func(ein, eout int64) bool { return base+ein <= eout },
-		&Stats{}, sp)
+		&gr.stats, sp)
+	gr.stats.Stage1Kernels.Scan += st.s1Evals - evals
 	n := left - st.left
 	gr.load[k] += int64(n)
 	return n
 }
+
+// Stats returns the growth statistics summed over every Grow call: one
+// round per call, and selection degrees taken in the graph each round was
+// bound to. SweptEdges stays 0; the grower never sweeps.
+func (gr *Grower) Stats() Stats { return gr.stats }
 
 // Rebind points the grower at graph g and its still-empty assignment a,
 // keeping the seed stream and the partition loads.

@@ -75,21 +75,3 @@ func mPrime(ein, eout, cin, cout int64) float64 {
 	}
 	return float64(ein+cin) / float64(denom)
 }
-
-// MuS2 returns the paper's Eq. 9 value for a candidate, given the current
-// partition state. selectStage2 ranks by M' instead (DESIGN.md §1,
-// deviation 8), and the two orders agree only where 1+ΔM > 0. The TestMuS2*
-// tests pin that agreement; no stage-II selection check calls MuS2.
-func MuS2(ein, eout, cin, cout int64) float64 {
-	if eout <= 0 {
-		// M undefined (no external edges): absorbing anything can only
-		// help; treat the gain as maximal.
-		return 1
-	}
-	mAfter := mPrime(ein, eout, cin, cout)
-	if math.IsInf(mAfter, 1) {
-		return 1
-	}
-	deltaM := mAfter - float64(ein)/float64(eout)
-	return 1 - 1/(1+deltaM)
-}

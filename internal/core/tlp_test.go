@@ -380,6 +380,24 @@ func TestIncrementalInvariants(t *testing.T) {
 	}
 }
 
+// muS2 is the paper's Eq. 9 value for a candidate, given the current
+// partition state: the reference the TestMuS2* tests hold mPrime's order to.
+// selectStage2 ranks by M' instead (DESIGN.md §1, deviation 8), and the two
+// orders agree only where 1+ΔM > 0.
+func muS2(ein, eout, cin, cout int64) float64 {
+	if eout <= 0 {
+		// M undefined (no external edges): absorbing anything can only
+		// help; treat the gain as maximal.
+		return 1
+	}
+	mAfter := mPrime(ein, eout, cin, cout)
+	if math.IsInf(mAfter, 1) {
+		return 1
+	}
+	deltaM := mAfter - float64(ein)/float64(eout)
+	return 1 - 1/(1+deltaM)
+}
+
 func TestMuS2MonotoneInMPrime(t *testing.T) {
 	// The implementation orders candidates by M' rather than mu_s2; check
 	// the two orderings agree whenever 1+ΔM > 0 (the domain where the
@@ -391,7 +409,7 @@ func TestMuS2MonotoneInMPrime(t *testing.T) {
 		cin1, cout1 := int64(1+r.Intn(20)), int64(r.Intn(50))
 		cin2, cout2 := int64(1+r.Intn(20)), int64(r.Intn(50))
 		m1, m2 := mPrime(ein, eout, cin1, cout1), mPrime(ein, eout, cin2, cout2)
-		mu1, mu2 := MuS2(ein, eout, cin1, cout1), MuS2(ein, eout, cin2, cout2)
+		mu1, mu2 := muS2(ein, eout, cin1, cout1), muS2(ein, eout, cin2, cout2)
 		base := float64(ein) / float64(eout)
 		if m1-base <= -1 || m2-base <= -1 {
 			continue // outside the monotone domain
@@ -403,14 +421,14 @@ func TestMuS2MonotoneInMPrime(t *testing.T) {
 }
 
 func TestMuS2Extremes(t *testing.T) {
-	if MuS2(5, 0, 1, 1) != 1 {
+	if muS2(5, 0, 1, 1) != 1 {
 		t.Fatal("eout=0 should give maximal mu_s2")
 	}
-	if MuS2(5, 5, 5, 0) != 1 {
+	if muS2(5, 5, 5, 0) != 1 {
 		t.Fatal("removing all external edges should give maximal mu_s2")
 	}
 	// Zero gain: M' = (4+1)/(4-1+2) = 1 = M -> deltaM = 0 -> mu = 0.
-	if mu := MuS2(4, 4, 1, 2); math.Abs(mu) > 1e-12 {
+	if mu := muS2(4, 4, 1, 2); math.Abs(mu) > 1e-12 {
 		t.Fatalf("neutral absorption mu = %v, want 0", mu)
 	}
 }

@@ -71,8 +71,6 @@ type Result struct {
 	RF        float64
 	Balance   float64
 	Seconds   float64
-	// Stats carries TLP-family stage statistics when applicable.
-	Stats *core.Stats
 }
 
 // algorithmFactories builds the Fig. 8 roster in the paper's order: TLP,
@@ -86,16 +84,6 @@ var algorithmFactories = []func(seed uint64) partition.Partitioner{
 	func(seed uint64) partition.Partitioner { return streaming.NewLDG(seed, streaming.OrderShuffled) },
 	func(seed uint64) partition.Partitioner { return streaming.NewDBH(seed) },
 	func(seed uint64) partition.Partitioner { return streaming.NewRandom(seed) },
-}
-
-// Algorithms returns the Fig. 8 roster in the paper's order: TLP, METIS,
-// LDG, DBH, Random.
-func Algorithms(seed uint64) []partition.Partitioner {
-	out := make([]partition.Partitioner, len(algorithmFactories))
-	for i, f := range algorithmFactories {
-		out[i] = f(seed)
-	}
-	return out
 }
 
 // runOne partitions g and measures RF/balance/time.

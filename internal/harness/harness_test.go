@@ -118,14 +118,13 @@ func TestRunTable6(t *testing.T) {
 }
 
 func TestAlgorithmsRoster(t *testing.T) {
-	algs := Algorithms(1)
 	want := []string{"TLP", "METIS", "LDG", "DBH", "Random"}
-	if len(algs) != len(want) {
-		t.Fatalf("roster size %d", len(algs))
+	if len(algorithmFactories) != len(want) {
+		t.Fatalf("roster size %d", len(algorithmFactories))
 	}
-	for i, a := range algs {
-		if a.Name() != want[i] {
-			t.Fatalf("roster[%d] = %s, want %s", i, a.Name(), want[i])
+	for i, f := range algorithmFactories {
+		if name := f(1).Name(); name != want[i] {
+			t.Fatalf("roster[%d] = %s, want %s", i, name, want[i])
 		}
 	}
 }

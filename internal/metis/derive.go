@@ -1,35 +1,12 @@
 package metis
 
 import (
-	"fmt"
 	"sort"
 
 	"github.com/graphpart/graphpart/internal/graph"
 	"github.com/graphpart/graphpart/internal/partition"
+	"github.com/graphpart/graphpart/internal/source"
 )
-
-// DeriveFirstEndpoint assigns every edge to the part of its canonical first
-// endpoint (U). The simplest derivation rule; exists as the ablation
-// counterpart of DeriveEdgePartition's lighter-load rule (DESIGN.md §6) —
-// it produces lower RF for cut edges touching hubs but can be badly
-// imbalanced.
-func DeriveFirstEndpoint(g *graph.Graph, labels []int32, p int) (*partition.Assignment, error) {
-	if len(labels) != g.NumVertices() {
-		return nil, fmt.Errorf("metis: %d labels for %d vertices", len(labels), g.NumVertices())
-	}
-	a, err := partition.New(g.NumEdges(), p)
-	if err != nil {
-		return nil, err
-	}
-	for id, e := range g.Edges() {
-		k := labels[e.U]
-		if k < 0 || int(k) >= p {
-			return nil, fmt.Errorf("metis: label out of range for edge %d", id)
-		}
-		a.Assign(graph.EdgeID(id), int(k))
-	}
-	return a, nil
-}
 
 // DeriveBalanced is DeriveEdgePartition followed by a rebalancing pass that
 // enforces the strict capacity C = ceil(m/p) of Definition 3: overfull
@@ -39,7 +16,7 @@ func DeriveFirstEndpoint(g *graph.Graph, labels []int32, p int) (*partition.Assi
 // endpoint's part, then arbitrary edges. The result always satisfies
 // |E(P_k)| <= C.
 func DeriveBalanced(g *graph.Graph, labels []int32, p int) (*partition.Assignment, error) {
-	a, err := DeriveEdgePartition(g, labels, p)
+	a, err := DeriveEdgePartition(source.FromGraph(g, source.OrderNatural, 0), labels, p)
 	if err != nil {
 		return nil, err
 	}

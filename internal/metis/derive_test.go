@@ -7,28 +7,8 @@ import (
 	"github.com/graphpart/graphpart/internal/graph"
 	"github.com/graphpart/graphpart/internal/partition"
 	"github.com/graphpart/graphpart/internal/rng"
+	"github.com/graphpart/graphpart/internal/source"
 )
-
-func TestDeriveFirstEndpoint(t *testing.T) {
-	g := graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
-	labels := []int32{0, 0, 1, 1}
-	a, err := DeriveFirstEndpoint(g, labels, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, e := range g.Edges() {
-		k, ok := a.PartitionOf(graph.EdgeID(id))
-		if !ok || int32(k) != labels[e.U] {
-			t.Fatalf("edge %d in part %d, want %d", id, k, labels[e.U])
-		}
-	}
-	if _, err := DeriveFirstEndpoint(g, []int32{0}, 2); err == nil {
-		t.Fatal("short labels accepted")
-	}
-	if _, err := DeriveFirstEndpoint(g, []int32{0, 0, 5, 0}, 2); err == nil {
-		t.Fatal("bad label accepted")
-	}
-}
 
 func TestDeriveBalancedEnforcesCapacity(t *testing.T) {
 	// Heavy skew: put almost everything in one vertex part.
@@ -70,7 +50,7 @@ func TestDeriveBalancedKeepsRFClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aGreedy, err := DeriveEdgePartition(g, labels, 8)
+	aGreedy, err := DeriveEdgePartition(source.FromGraph(g, source.OrderNatural, 0), labels, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

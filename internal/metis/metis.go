@@ -8,6 +8,7 @@ import (
 	"github.com/graphpart/graphpart/internal/graph"
 	"github.com/graphpart/graphpart/internal/partition"
 	"github.com/graphpart/graphpart/internal/rng"
+	"github.com/graphpart/graphpart/internal/source"
 )
 
 // Config tunes the multilevel partitioner. The zero value uses defaults
@@ -78,7 +79,7 @@ func (m *Partitioner) Partition(g *graph.Graph, p int) (*partition.Assignment, e
 	if err != nil {
 		return nil, err
 	}
-	return DeriveEdgePartition(g, labels, p)
+	return DeriveEdgePartition(source.FromGraph(g, source.OrderNatural, 0), labels, p)
 }
 
 // VertexPartition returns part labels in [0, p) for every vertex of g,
@@ -232,31 +233,43 @@ func inducedWGraph(w *wgraph, verts []int32, side []uint8, s uint8, a *arena) (*
 	return sub, subVerts
 }
 
-// DeriveEdgePartition assigns every edge of g to the part of one of its
-// endpoints, choosing the endpoint whose part currently holds fewer edges.
-// This is the standard adaptation used when a vertex partitioner serves as
-// an edge-partitioning baseline: RF stays low because edges follow the
-// vertex cut, while edge loads balance greedily. Loads are NOT guaranteed to
-// meet the strict capacity C (vertex partitioners balance vertices, not
-// edges); callers validating the result should allow slack.
-func DeriveEdgePartition(g *graph.Graph, labels []int32, p int) (*partition.Assignment, error) {
-	if len(labels) != g.NumVertices() {
-		return nil, fmt.Errorf("metis: %d labels for %d vertices", len(labels), g.NumVertices())
+// DeriveEdgePartition assigns every edge of src, in stream order, to the
+// part of one of its endpoints, choosing the endpoint whose part currently
+// holds fewer edges. This is the standard adaptation used when a vertex
+// partitioner serves as an edge-partitioning baseline, and the one copy of
+// that rule: every vertex-partition baseline reaches it, graph paths through
+// source.FromGraph in natural (EdgeID) order, stream paths through their own
+// source. RF stays low because edges follow the vertex cut, while edge loads
+// balance greedily. Loads are NOT guaranteed to meet the strict capacity C
+// (vertex partitioners balance vertices, not edges); callers validating the
+// result should allow slack.
+func DeriveEdgePartition(src source.EdgeSource, labels []int32, p int) (*partition.Assignment, error) {
+	if len(labels) != src.NumVertices() {
+		return nil, fmt.Errorf("metis: %d labels for %d vertices", len(labels), src.NumVertices())
 	}
-	a, err := partition.New(g.NumEdges(), p)
+	a, err := partition.New(src.NumEdges(), p)
 	if err != nil {
 		return nil, err
 	}
-	for id, e := range g.Edges() {
+	if err := src.Reset(); err != nil {
+		return nil, fmt.Errorf("metis: resetting source: %w", err)
+	}
+	for {
+		e, ok, err := src.Next()
+		if err != nil {
+			return nil, fmt.Errorf("metis: reading source: %w", err)
+		}
+		if !ok {
+			return a, nil
+		}
 		ku, kv := labels[e.U], labels[e.V]
 		if ku < 0 || int(ku) >= p || kv < 0 || int(kv) >= p {
-			return nil, fmt.Errorf("metis: label out of range for edge %d", id)
+			return nil, fmt.Errorf("metis: label out of range for edge %d", e.ID)
 		}
 		k := ku
 		if ku != kv && a.Load(int(kv)) < a.Load(int(ku)) {
 			k = kv
 		}
-		a.Assign(graph.EdgeID(id), int(k))
+		a.Assign(e.ID, int(k))
 	}
-	return a, nil
 }

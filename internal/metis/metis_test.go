@@ -1,9 +1,12 @@
 package metis
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -11,6 +14,7 @@ import (
 	"github.com/graphpart/graphpart/internal/graph"
 	"github.com/graphpart/graphpart/internal/partition"
 	"github.com/graphpart/graphpart/internal/rng"
+	"github.com/graphpart/graphpart/internal/source"
 )
 
 func randomGraph(seed uint64, n, extra int) *graph.Graph {
@@ -459,8 +463,9 @@ func TestMetisBeatsRandomOnCommunities(t *testing.T) {
 
 func TestDeriveEdgePartition(t *testing.T) {
 	g := graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 0, V: 3}})
+	src := source.FromGraph(g, source.OrderNatural, 0)
 	labels := []int32{0, 0, 1, 1}
-	a, err := DeriveEdgePartition(g, labels, 2)
+	a, err := DeriveEdgePartition(src, labels, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,13 +477,28 @@ func TestDeriveEdgePartition(t *testing.T) {
 		t.Fatal("intra-part edge placed in wrong part")
 	}
 	// Errors.
-	if _, err := DeriveEdgePartition(g, []int32{0}, 2); err == nil {
+	if _, err := DeriveEdgePartition(src, []int32{0}, 2); err == nil {
 		t.Fatal("short labels accepted")
 	}
-	if _, err := DeriveEdgePartition(g, []int32{0, 0, 9, 0}, 2); err == nil {
-		t.Fatal("out-of-range label accepted")
+	// The first edge touching vertex 2 is the one the error names.
+	first, _ := g.FindEdge(1, 2)
+	_, err = DeriveEdgePartition(src, []int32{0, 0, 9, 0}, 2)
+	if err == nil || !strings.HasSuffix(err.Error(), fmt.Sprintf("edge %d", first)) {
+		t.Fatalf("out-of-range label: got %v, want an error naming edge %d", err, first)
+	}
+	boom := errors.New("boom")
+	if _, err := DeriveEdgePartition(failingSource{src, boom}, labels, 2); !errors.Is(err, boom) {
+		t.Fatalf("source error not passed up: %v", err)
 	}
 }
+
+// failingSource wraps a source whose Next fails with err.
+type failingSource struct {
+	source.EdgeSource
+	err error
+}
+
+func (s failingSource) Next() (source.Edge, bool, error) { return source.Edge{}, false, s.err }
 
 func mustPart(t *testing.T, a *partition.Assignment, id graph.EdgeID) int {
 	t.Helper()

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -54,89 +52,6 @@ func (g *Gauge) Max(v int64) {
 // Value returns the current gauge value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Histogram is a fixed-bucket histogram: bounds are the inclusive upper
-// edges of the first len(bounds) buckets, with one implicit overflow bucket.
-// Observation is lock-free (atomic bucket counts; the sum is a CAS loop on
-// float bits).
-type Histogram struct {
-	bounds  []float64
-	buckets []atomic.Int64
-	count   atomic.Int64
-	sumBits atomic.Uint64
-}
-
-// newHistogram builds a histogram over sorted bucket bounds.
-func newHistogram(bounds []float64) *Histogram {
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	sort.Float64s(b)
-	return &Histogram{bounds: b, buckets: make([]atomic.Int64, len(b)+1)}
-}
-
-// Observe records v when telemetry is enabled.
-func (h *Histogram) Observe(v float64) {
-	if !enabled.Load() {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// HistogramSnapshot is the exported state of one histogram.
-type HistogramSnapshot struct {
-	// Bounds are the bucket upper edges; Counts has len(Bounds)+1 entries,
-	// the last being the overflow bucket.
-	Bounds []float64 `json:"bounds"`
-	// Counts are the per-bucket observation counts.
-	Counts []int64 `json:"counts"`
-	// Count is the total number of observations.
-	Count int64 `json:"count"`
-	// Sum is the sum of observed values.
-	Sum float64 `json:"sum"`
-}
-
-// Quantile estimates the q-quantile from the bucket counts using the
-// nearest-rank rule: the value reported is the upper bound of the bucket
-// holding the rank-⌈q·n⌉ observation (+Inf when that observation landed in
-// the overflow bucket, 0 when the histogram is empty).
-func (hs HistogramSnapshot) Quantile(q float64) float64 {
-	if hs.Count <= 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(hs.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > hs.Count {
-		rank = hs.Count
-	}
-	var cum int64
-	for i, c := range hs.Counts {
-		cum += c
-		if cum >= rank {
-			if i < len(hs.Bounds) {
-				return hs.Bounds[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
-}
-
 // MetricsSnapshot is a point-in-time copy of a Registry, JSON-serialisable
 // with deterministic (sorted) key order.
 type MetricsSnapshot struct {
@@ -144,25 +59,21 @@ type MetricsSnapshot struct {
 	Counters map[string]int64 `json:"counters"`
 	// Gauges maps gauge name to value.
 	Gauges map[string]int64 `json:"gauges"`
-	// Histograms maps histogram name to its snapshot.
-	Histograms map[string]HistogramSnapshot `json:"histograms"`
 }
 
 // Registry is a named collection of metrics. The zero value is not usable;
 // use NewRegistry or the package Default.
 type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
+	mu       sync.Mutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
 }
 
 // NewRegistry returns an empty metrics registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   map[string]*Counter{},
-		gauges:     map[string]*Gauge{},
-		histograms: map[string]*Histogram{},
+		counters: map[string]*Counter{},
+		gauges:   map[string]*Gauge{},
 	}
 }
 
@@ -194,19 +105,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given bucket
-// bounds on first use (later calls ignore bounds).
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.histograms[name]
-	if !ok {
-		h = newHistogram(bounds)
-		r.histograms[name] = h
-	}
-	return h
-}
-
 // Reset zeroes every metric in the registry (the metric objects survive, so
 // cached pointers stay valid).
 func (r *Registry) Reset() {
@@ -218,13 +116,6 @@ func (r *Registry) Reset() {
 	for _, g := range r.gauges {
 		g.v.Store(0)
 	}
-	for _, h := range r.histograms {
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
-		}
-		h.count.Store(0)
-		h.sumBits.Store(0)
-	}
 }
 
 // Snapshot copies the registry's current values.
@@ -232,27 +123,14 @@ func (r *Registry) Snapshot() MetricsSnapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	snap := MetricsSnapshot{
-		Counters:   make(map[string]int64, len(r.counters)),
-		Gauges:     make(map[string]int64, len(r.gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(r.histograms)),
+		Counters: make(map[string]int64, len(r.counters)),
+		Gauges:   make(map[string]int64, len(r.gauges)),
 	}
 	for name, c := range r.counters {
 		snap.Counters[name] = c.Value()
 	}
 	for name, g := range r.gauges {
 		snap.Gauges[name] = g.Value()
-	}
-	for name, h := range r.histograms {
-		hs := HistogramSnapshot{
-			Bounds: append([]float64(nil), h.bounds...),
-			Counts: make([]int64, len(h.buckets)),
-			Count:  h.Count(),
-			Sum:    h.Sum(),
-		}
-		for i := range h.buckets {
-			hs.Counts[i] = h.buckets[i].Load()
-		}
-		snap.Histograms[name] = hs
 	}
 	return snap
 }

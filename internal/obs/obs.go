@@ -1,7 +1,7 @@
 // Package obs is the repository's unified telemetry layer: a metrics
-// registry (atomic counters, gauges, fixed-bucket histograms), span-based
-// tracing into a bounded in-memory ring (exportable as JSONL and Chrome
-// trace-event JSON), and the single sanctioned clock seam.
+// registry (atomic counters and gauges), span-based tracing into a bounded
+// in-memory ring (exportable as JSONL and Chrome trace-event JSON), and the
+// single sanctioned clock seam.
 //
 // Two contracts govern every instrumentation site:
 //

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"time"
 )
@@ -65,7 +64,7 @@ func CaptureSnapshot(process string, pid int) ProcessSnapshot {
 // versions rather than guessing.
 var snapshotMagic = [4]byte{'O', 'B', 'S', 'S'}
 
-const snapshotVersion = 1
+const snapshotVersion = 2
 
 // Encode serialises the snapshot into the compact versioned binary form
 // shipped over the wire: a string table (names, attribute keys and string
@@ -85,14 +84,10 @@ func (ps *ProcessSnapshot) Encode() []byte {
 	}
 	counters := sortedKeys(ps.Metrics.Counters)
 	gauges := sortedKeys(ps.Metrics.Gauges)
-	histograms := sortedKeys(ps.Metrics.Histograms)
 	for _, n := range counters {
 		tab.add(n)
 	}
 	for _, n := range gauges {
-		tab.add(n)
-	}
-	for _, n := range histograms {
 		tab.add(n)
 	}
 
@@ -137,20 +132,6 @@ func (ps *ProcessSnapshot) Encode() []byte {
 	for _, n := range gauges {
 		buf = binary.AppendUvarint(buf, tab.idx[n])
 		buf = binary.AppendVarint(buf, ps.Metrics.Gauges[n])
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(histograms)))
-	for _, n := range histograms {
-		hs := ps.Metrics.Histograms[n]
-		buf = binary.AppendUvarint(buf, tab.idx[n])
-		buf = binary.AppendUvarint(buf, uint64(len(hs.Bounds)))
-		for _, b := range hs.Bounds {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(b))
-		}
-		for _, c := range hs.Counts {
-			buf = binary.AppendVarint(buf, c)
-		}
-		buf = binary.AppendVarint(buf, hs.Count)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(hs.Sum))
 	}
 	return buf
 }
@@ -218,9 +199,8 @@ func DecodeSnapshot(data []byte) (ProcessSnapshot, error) {
 	}
 
 	ps.Metrics = MetricsSnapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]int64{},
-		Histograms: map[string]HistogramSnapshot{},
+		Counters: map[string]int64{},
+		Gauges:   map[string]int64{},
 	}
 	for i, n := 0, d.length("counters"); i < n && d.err == nil; i++ {
 		name := str("counter name")
@@ -229,21 +209,6 @@ func DecodeSnapshot(data []byte) (ProcessSnapshot, error) {
 	for i, n := 0, d.length("gauges"); i < n && d.err == nil; i++ {
 		name := str("gauge name")
 		ps.Metrics.Gauges[name] = d.varint()
-	}
-	for i, n := 0, d.length("histograms"); i < n && d.err == nil; i++ {
-		name := str("histogram name")
-		nb := d.length("bounds")
-		hs := HistogramSnapshot{Bounds: make([]float64, 0, nb)}
-		for j := 0; j < nb && d.err == nil; j++ {
-			hs.Bounds = append(hs.Bounds, math.Float64frombits(d.u64()))
-		}
-		hs.Counts = make([]int64, 0, nb+1)
-		for j := 0; j <= nb && d.err == nil; j++ {
-			hs.Counts = append(hs.Counts, d.varint())
-		}
-		hs.Count = d.varint()
-		hs.Sum = math.Float64frombits(d.u64())
-		ps.Metrics.Histograms[name] = hs
 	}
 	if d.err != nil {
 		return ProcessSnapshot{}, d.err
@@ -356,16 +321,14 @@ func (d *snapDecoder) length(what string) int {
 }
 
 // MergeSnapshots aggregates per-process metrics into one machine-labelled
-// snapshot: every counter, gauge and histogram appears once per process
-// under "<process>/<name>", and counters additionally sum across processes
-// under the plain name (gauges take the max; histograms with identical
-// bounds sum bucket-wise). This is the cluster-wide view graphd /metrics
-// serves after a cluster run.
+// snapshot: every counter and gauge appears once per process under
+// "<process>/<name>", and counters additionally sum across processes under
+// the plain name (gauges take the max). This is the cluster-wide view
+// graphd /metrics serves after a cluster run.
 func MergeSnapshots(snaps []ProcessSnapshot) MetricsSnapshot {
 	out := MetricsSnapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]int64{},
-		Histograms: map[string]HistogramSnapshot{},
+		Counters: map[string]int64{},
+		Gauges:   map[string]int64{},
 	}
 	for i := range snaps {
 		ps := &snaps[i]
@@ -379,38 +342,8 @@ func MergeSnapshots(snaps []ProcessSnapshot) MetricsSnapshot {
 				out.Gauges[name] = v
 			}
 		}
-		for name, hs := range ps.Metrics.Histograms {
-			out.Histograms[ps.Process+"/"+name] = hs
-			agg, ok := out.Histograms[name]
-			if !ok {
-				agg = HistogramSnapshot{
-					Bounds: append([]float64(nil), hs.Bounds...),
-					Counts: make([]int64, len(hs.Counts)),
-				}
-			} else if !sameBounds(agg.Bounds, hs.Bounds) {
-				continue // incompatible layouts stay per-process only
-			}
-			for j, c := range hs.Counts {
-				agg.Counts[j] += c
-			}
-			agg.Count += hs.Count
-			agg.Sum += hs.Sum
-			out.Histograms[name] = agg
-		}
 	}
 	return out
-}
-
-func sameBounds(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // SkewInstant is one per-superstep barrier-skew measurement: the spread

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -17,14 +16,6 @@ func sampleSnapshot(process string, pid int, epoch int64) ProcessSnapshot {
 		Metrics: MetricsSnapshot{
 			Counters: map[string]int64{"engine.messages": 42, "engine.supersteps": 5},
 			Gauges:   map[string]int64{"engine.active": 7},
-			Histograms: map[string]HistogramSnapshot{
-				"wire.frame_bytes": {
-					Bounds: []float64{10, 100, 1000},
-					Counts: []int64{1, 2, 3, 4},
-					Count:  10,
-					Sum:    1234.5,
-				},
-			},
 		},
 	}
 	rec := Record{Name: "wire.worker.superstep", Kind: 'X', Track: 1,
@@ -68,10 +59,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		got.Metrics.Gauges["engine.active"] != 7 {
 		t.Fatalf("metrics mismatch: %+v", got.Metrics)
 	}
-	hs := got.Metrics.Histograms["wire.frame_bytes"]
-	if len(hs.Bounds) != 3 || hs.Counts[3] != 4 || hs.Count != 10 || hs.Sum != 1234.5 {
-		t.Fatalf("histogram mismatch: %+v", hs)
-	}
 }
 
 func TestSnapshotDecodeRejectsCorruption(t *testing.T) {
@@ -83,6 +70,11 @@ func TestSnapshotDecodeRejectsCorruption(t *testing.T) {
 		"bad version": func() []byte {
 			b := append([]byte(nil), good...)
 			b[4] = 99
+			return b
+		}(),
+		"version 1": func() []byte {
+			b := append([]byte(nil), good...)
+			b[4] = 1
 			return b
 		}(),
 		"truncated": good[:len(good)-5],
@@ -136,13 +128,6 @@ func TestMergeSnapshots(t *testing.T) {
 	}
 	if merged.Gauges["engine.active"] != 7 { // max across processes
 		t.Fatalf("aggregate gauge = %d, want 7", merged.Gauges["engine.active"])
-	}
-	hs := merged.Histograms["wire.frame_bytes"]
-	if hs.Count != 20 || hs.Counts[3] != 8 || hs.Sum != 2469 {
-		t.Fatalf("aggregate histogram: %+v", hs)
-	}
-	if _, ok := merged.Histograms["worker1/wire.frame_bytes"]; !ok {
-		t.Fatal("labelled histogram missing")
 	}
 }
 
@@ -202,7 +187,7 @@ func TestWriteMergedChromeTrace(t *testing.T) {
 	}
 }
 
-// --- histogram/percentile boundary hardening (satellite: obs hardening) ---
+// --- percentile boundary hardening ---
 
 func TestPercentileBoundaries(t *testing.T) {
 	cases := []struct {
@@ -243,31 +228,6 @@ func TestSummarizeSpansSmallSamples(t *testing.T) {
 	two := SummarizeSpans(mk(2))[0]
 	if two.P50Seconds != 1 || two.P95Seconds != 2 {
 		t.Fatalf("2-sample percentiles: %+v", two)
-	}
-}
-
-func TestHistogramQuantileBoundaries(t *testing.T) {
-	empty := HistogramSnapshot{Bounds: []float64{1, 2}, Counts: []int64{0, 0, 0}}
-	if got := empty.Quantile(0.95); got != 0 {
-		t.Fatalf("empty quantile = %v, want 0", got)
-	}
-	one := HistogramSnapshot{Bounds: []float64{1, 2}, Counts: []int64{0, 1, 0}, Count: 1}
-	if got := one.Quantile(0.50); got != 2 {
-		t.Fatalf("1-sample p50 = %v, want 2", got)
-	}
-	if got := one.Quantile(0.95); got != 2 {
-		t.Fatalf("1-sample p95 = %v, want 2", got)
-	}
-	two := HistogramSnapshot{Bounds: []float64{1, 2}, Counts: []int64{1, 1, 0}, Count: 2}
-	if got := two.Quantile(0.50); got != 1 {
-		t.Fatalf("2-sample p50 = %v, want 1", got)
-	}
-	if got := two.Quantile(0.95); got != 2 {
-		t.Fatalf("2-sample p95 = %v, want 2", got)
-	}
-	over := HistogramSnapshot{Bounds: []float64{1}, Counts: []int64{0, 1}, Count: 1}
-	if got := over.Quantile(0.95); !math.IsInf(got, 1) {
-		t.Fatalf("overflow quantile = %v, want +Inf", got)
 	}
 }
 

@@ -26,10 +26,12 @@ type Metrics struct {
 	// TotalReplicas is sum_k |V(P_k)| (masters + mirrors).
 	TotalReplicas int
 	// Modularity holds the paper's per-partition modularity
-	// M(P_k) = |E(P_k)| / |E_out(P_k)| (Definition 8), computed on the
-	// final partitioning with E_out measured as boundary incidences (see
-	// ModularityOf). Infinite modularity (no external edges) is reported
-	// as math.Inf(1).
+	// M(P_k) = |E(P_k)| / |E_out(P_k)| (Definition 8). On a finished
+	// partitioning |E_out(P_k)| is measured as boundary incidences: the sum
+	// over v in V(P_k) of the edges incident to v that are not in P_k. That
+	// is the quantity that makes Claim 1's averaging identity
+	// (sum deg(v in P_k) = 2|E(P_k)| + |E_out(P_k)|) exact. A partition with
+	// no external incidences gets math.Inf(1); an empty one gets 0.
 	Modularity []float64
 }
 
@@ -186,8 +188,8 @@ func (pr *presence) metrics(a *Assignment, m int, deg func(v int) int64) Metrics
 }
 
 // modularityFromCounts derives M(P_k) from internal edge counts and degree
-// sums, matching ModularityAll's conventions (0 for empty partitions, +Inf
-// for partitions with no external incidences).
+// sums, with the conventions of Metrics.Modularity (0 for empty partitions,
+// +Inf for partitions with no external incidences).
 func modularityFromCounts(internal, degSum []int64) []float64 {
 	out := make([]float64, len(internal))
 	for k := range internal {
@@ -247,34 +249,6 @@ func VertexSets(g *graph.Graph, a *Assignment) [][]graph.Vertex {
 		}
 	}
 	return sets
-}
-
-// ModularityAll returns M(P_k) for every partition of a complete assignment.
-//
-// Definition 8 defines M(P_k) = |E(P_k)| / |E_out(P_k)|. On a finished
-// partitioning we measure |E_out(P_k)| as the number of boundary incidences:
-// sum over v in V(P_k) of the edges incident to v that are NOT in P_k. This
-// is the quantity that makes the averaging identity of Claim 1
-// (sum deg(v in P_k) = 2|E(P_k)| + |E_out(P_k)|) exact. Partitions with no
-// external incidences get M = +Inf; empty partitions get M = 0.
-func ModularityAll(g *graph.Graph, a *Assignment) ([]float64, error) {
-	pr := presenceOf(g, a)
-	if err := pr.err(); err != nil {
-		return nil, err
-	}
-	return pr.modularity(graphDegree(g)), nil
-}
-
-// ModularityOf returns M(P_k) for a single partition.
-func ModularityOf(g *graph.Graph, a *Assignment, k int) (float64, error) {
-	all, err := ModularityAll(g, a)
-	if err != nil {
-		return 0, err
-	}
-	if k < 0 || k >= len(all) {
-		return 0, fmt.Errorf("partition: partition %d out of range", k)
-	}
-	return all[k], nil
 }
 
 // ReplicaCount returns, for every vertex, the number of partitions whose

@@ -232,11 +232,11 @@ func TestModularityFig5(t *testing.T) {
 	assign(0, 3, 1)
 	assign(1, 4, 1)
 	assign(2, 5, 1)
-	m0, err := ModularityOf(g, a, 0)
+	met, err := Compute(g, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 2.0 / 3.0; math.Abs(m0-want) > 1e-12 {
+	if m0, want := met.Modularity[0], 2.0/3.0; math.Abs(m0-want) > 1e-12 {
 		t.Fatalf("M(P0) = %v, want %v", m0, want)
 	}
 }
@@ -255,26 +255,16 @@ func TestModularityInfiniteAndZero(t *testing.T) {
 	for id := 3; id < 6; id++ {
 		a.Assign(graph.EdgeID(id), 1)
 	}
-	mods, err := ModularityAll(g, a)
+	met, err := Compute(g, a)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mods := met.Modularity
 	if !math.IsInf(mods[0], 1) || !math.IsInf(mods[1], 1) {
 		t.Fatalf("isolated partitions should have infinite modularity: %v", mods)
 	}
 	if mods[2] != 0 {
 		t.Fatalf("empty partition modularity %v, want 0", mods[2])
-	}
-}
-
-func TestModularityOfRange(t *testing.T) {
-	g := fig1Graph()
-	a := MustNew(g.NumEdges(), 2)
-	for id := 0; id < g.NumEdges(); id++ {
-		a.Assign(graph.EdgeID(id), 0)
-	}
-	if _, err := ModularityOf(g, a, 5); err == nil {
-		t.Fatal("out-of-range partition accepted")
 	}
 }
 
@@ -305,18 +295,18 @@ func TestClaim1Identity(t *testing.T) {
 		k, _ := a.PartitionOf(graph.EdgeID(id))
 		internal[k]++
 	}
+	met, err := Compute(g, a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for k := 0; k < p; k++ {
 		var degSum int64
 		for _, v := range sets[k] {
 			degSum += int64(g.Degree(v))
 		}
-		mods, err := ModularityAll(g, a)
-		if err != nil {
-			t.Fatal(err)
-		}
 		ext := degSum - 2*internal[k]
 		if internal[k] > 0 && ext > 0 {
-			if got, want := mods[k], float64(internal[k])/float64(ext); math.Abs(got-want) > 1e-12 {
+			if got, want := met.Modularity[k], float64(internal[k])/float64(ext); math.Abs(got-want) > 1e-12 {
 				t.Fatalf("partition %d modularity %v, want %v", k, got, want)
 			}
 		}

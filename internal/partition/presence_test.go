@@ -112,11 +112,6 @@ func TestPresenceKernelMatchesVertexSets(t *testing.T) {
 		if rf != want.ReplicationFactor {
 			t.Fatalf("p=%d: ReplicationFactor %v, want %v", p, rf, want.ReplicationFactor)
 		}
-		mod, err := ModularityAll(g, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		modularityEqual(t, "ModularityAll", want.Modularity, mod)
 		for v, c := range ReplicaCount(g, a) {
 			if c != wantCounts[v] {
 				t.Fatalf("p=%d: ReplicaCount[%d] = %d, want %d", p, v, c, wantCounts[v])
@@ -148,11 +143,10 @@ func TestPresenceScanUnassignedError(t *testing.T) {
 		shuffled := source.FromGraph(g, source.OrderShuffled, 9)
 		_, errCompute := Compute(g, partial)
 		_, errRF := ReplicationFactor(g, partial)
-		_, errMod := ModularityAll(g, partial)
 		_, errStream := StreamMetrics(shuffled, partial)
 		for name, err := range map[string]error{
 			"Compute": errCompute, "ReplicationFactor": errRF,
-			"ModularityAll": errMod, "StreamMetrics": errStream,
+			"StreamMetrics": errStream,
 		} {
 			if err == nil || !strings.Contains(err.Error(), "edge 1234 unassigned") {
 				t.Fatalf("p=%d: %s returned %v, want edge 1234 unassigned", p, name, err)
@@ -161,10 +155,11 @@ func TestPresenceScanUnassignedError(t *testing.T) {
 	}
 }
 
-// TestComputeParallelMatchesSequential checks Compute, ReplicationFactor and
-// ModularityAll give the same result bit for bit whatever GRAPHPART_WORKERS
-// says: the metrics are computed by one sequential kernel, and the worker
-// setting that sizes the partitioners' pools must never leak into them.
+// TestComputeParallelMatchesSequential checks Compute (modularity included)
+// and ReplicationFactor give the same result bit for bit whatever
+// GRAPHPART_WORKERS says: the metrics are computed by one sequential kernel,
+// and the worker setting that sizes the partitioners' pools must never leak
+// into them.
 func TestComputeParallelMatchesSequential(t *testing.T) {
 	g, a := randomAssigned(t, 13)
 
@@ -174,10 +169,6 @@ func TestComputeParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	seqRF, err := ReplicationFactor(g, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqMod, err := ModularityAll(g, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,10 +187,5 @@ func TestComputeParallelMatchesSequential(t *testing.T) {
 		if parRF != seqRF {
 			t.Fatalf("workers=%s: RF %v vs %v", workers, parRF, seqRF)
 		}
-		parMod, err := ModularityAll(g, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		modularityEqual(t, "ModularityAll workers="+workers, seqMod, parMod)
 	}
 }

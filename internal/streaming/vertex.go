@@ -1,7 +1,6 @@
 package streaming
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/graphpart/graphpart/internal/graph"
@@ -50,7 +49,7 @@ func (x *LDG) Partition(g *graph.Graph, p int) (*partition.Assignment, error) {
 	if err != nil {
 		return nil, err
 	}
-	return metis.DeriveEdgePartition(g, labels, p)
+	return metis.DeriveEdgePartition(source.FromGraph(g, source.OrderNatural, 0), labels, p)
 }
 
 // PartitionStream implements partition.StreamPartitioner. Graph-backed
@@ -83,7 +82,7 @@ func (x *LDG) PartitionStream(src source.EdgeSource, p int) (*partition.Assignme
 	if err != nil {
 		return nil, err
 	}
-	return deriveStreamEdges(src, labels, p)
+	return metis.DeriveEdgePartition(src, labels, p)
 }
 
 // VertexPartition streams the vertices and returns their part labels.
@@ -180,7 +179,7 @@ func (x *FENNEL) Partition(g *graph.Graph, p int) (*partition.Assignment, error)
 	if err != nil {
 		return nil, err
 	}
-	return metis.DeriveEdgePartition(g, labels, p)
+	return metis.DeriveEdgePartition(source.FromGraph(g, source.OrderNatural, 0), labels, p)
 }
 
 // PartitionStream implements partition.StreamPartitioner; see
@@ -216,7 +215,7 @@ func (x *FENNEL) PartitionStream(src source.EdgeSource, p int) (*partition.Assig
 	if err != nil {
 		return nil, err
 	}
-	return deriveStreamEdges(src, labels, p)
+	return metis.DeriveEdgePartition(src, labels, p)
 }
 
 // VertexPartition streams the vertices and returns their part labels.
@@ -281,7 +280,7 @@ func (x *FENNEL) VertexPartition(g *graph.Graph, p int) ([]int32, error) {
 // endpoint is credited afterwards. Edges between two vertices that are both
 // unplaced when the edge passes — and stay unplaced — are the sketch's
 // information loss. Degree-0 vertices are swept in id order at the end.
-// A final pass derives the edge placement (deriveStreamEdges).
+// A final pass derives the edge placement (metis.DeriveEdgePartition).
 func streamVertexLabels(src source.EdgeSource, p int, choose func(row []int32, loads []int) int) ([]int32, error) {
 	n := src.NumVertices()
 	deg := make([]int32, n)
@@ -337,36 +336,4 @@ func streamVertexLabels(src source.EdgeSource, p int, choose func(row []int32, l
 		}
 	}
 	return labels, nil
-}
-
-// deriveStreamEdges assigns each streamed edge to the lighter-loaded of its
-// endpoints' parts, the same rule as metis.DeriveEdgePartition but driven
-// by the stream instead of the CSR edge array.
-func deriveStreamEdges(src source.EdgeSource, labels []int32, p int) (*partition.Assignment, error) {
-	a, err := partition.New(src.NumEdges(), p)
-	if err != nil {
-		return nil, err
-	}
-	var badEdge error
-	err = forEachEdge(src, func(e source.Edge) {
-		ku, kv := labels[e.U], labels[e.V]
-		if ku < 0 || int(ku) >= p || kv < 0 || int(kv) >= p {
-			if badEdge == nil {
-				badEdge = fmt.Errorf("streaming: label out of range for edge %d", e.ID)
-			}
-			return
-		}
-		k := ku
-		if ku != kv && a.Load(int(kv)) < a.Load(int(ku)) {
-			k = kv
-		}
-		a.Assign(e.ID, int(k))
-	})
-	if err != nil {
-		return nil, err
-	}
-	if badEdge != nil {
-		return nil, badEdge
-	}
-	return a, nil
 }

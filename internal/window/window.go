@@ -67,6 +67,9 @@ type Stats struct {
 	// rather than a partition's growth: later copies of a duplicate pair
 	// whose twin was placed after the stream ended, and self-loops.
 	SweptEdges int
+	// Growth holds the statistics of every growth round of the run (one
+	// core.Grower.Grow call each); selection degrees are window degrees.
+	Growth core.Stats
 }
 
 // Partitioner is the sliding-window TLP variant.
@@ -222,6 +225,7 @@ func (w *Partitioner) PartitionChannel(stream <-chan StreamEdge, numVertices, nu
 		Refills:         win.refills,
 		StreamedEdges:   win.streamed,
 		SweptEdges:      partition.AssignLeftovers(a),
+		Growth:          gr.Stats(),
 	}
 	ssp.EndWith(obs.Int("swept", stats.SweptEdges))
 	recordRunMetrics(&stats)

@@ -2,6 +2,7 @@ package window
 
 import (
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -254,6 +255,33 @@ func TestWindowStats(t *testing.T) {
 	}
 	if stats.SweptEdges > g.NumEdges()/2 {
 		t.Fatalf("%d of %d edges swept — window growth did almost nothing", stats.SweptEdges, g.NumEdges())
+	}
+}
+
+// TestWindowGrowthStats: the run reports the growth statistics its rounds
+// gathered, and keeping them leaves the placement as it was (the hash was
+// taken before the grower kept any statistics).
+func TestWindowGrowthStats(t *testing.T) {
+	const p = 4
+	g := gen.SmallDatasets()[0].Generate(42)
+	a, stats, err := New(Config{Seed: 42}).PartitionStreamStats(source.FromGraph(g, source.OrderBFS, 42), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs := stats.Growth
+	if gs.Rounds < p {
+		t.Errorf("%d growth rounds for %d partitions", gs.Rounds, p)
+	}
+	if gs.Stage1Selections <= 0 || gs.Stage2Selections <= 0 {
+		t.Errorf("stage selections I=%d II=%d, want both above 0", gs.Stage1Selections, gs.Stage2Selections)
+	}
+	h := fnv.New64a()
+	for e := 0; e < a.NumEdges(); e++ {
+		k, _ := a.PartitionOf(graph.EdgeID(e))
+		h.Write([]byte{byte(k), byte(k >> 8), byte(k >> 16), byte(k >> 24)})
+	}
+	if got, want := h.Sum64(), uint64(0x9d9c02ba6b831fe6); got != want {
+		t.Errorf("assignment hash %#016x, want %#016x", got, want)
 	}
 }
 
