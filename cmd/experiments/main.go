@@ -13,6 +13,13 @@
 // sweep), engine (share-nothing GAS runtime communication comparison),
 // refine (move/swap local-search refinement on top of every family), all.
 //
+// Every experiment that compares partitioners draws them from the
+// harness's one family roster: fig8 and timing run the paper's five (timing
+// renders the Fig. 8 cells' seconds at its one p), engine and refine run
+// all ten, and ablation runs four of them plus two TLP variants. Each
+// experiment reads the generated datasets from the harness's cache, so
+// none regenerates them.
+//
 // Grid cells (and dataset generations) run concurrently on a bounded worker
 // pool; output is identical for any worker count. The pool size comes from
 // -workers, then the GRAPHPART_WORKERS environment variable, then
@@ -35,7 +42,6 @@ import (
 	"time"
 
 	"github.com/graphpart/graphpart/internal/gen"
-	"github.com/graphpart/graphpart/internal/graph"
 	"github.com/graphpart/graphpart/internal/harness"
 	"github.com/graphpart/graphpart/internal/obs"
 )
@@ -118,10 +124,8 @@ func run(args []string, out io.Writer) error {
 	if *exp != "table3" && *exp != "all" {
 		table3.CSVDir = ""
 	}
-	var graphs map[string]*graph.Graph
-	if err := timed("table3", func() (err error) {
-		graphs, err = harness.RunTable3(table3)
-		return err
+	if err := timed("table3", func() error {
+		return harness.RunTable3(table3)
 	}); err != nil {
 		return err
 	}
@@ -134,7 +138,7 @@ func run(args []string, out io.Writer) error {
 	if wantFig8 {
 		var results []harness.Result
 		if err := timed("fig8", func() (err error) {
-			results, err = harness.RunFig8(cfg, graphs)
+			results, err = harness.RunFig8(cfg)
 			return err
 		}); err != nil {
 			return err
@@ -153,7 +157,7 @@ func run(args []string, out io.Writer) error {
 	}
 	if p, ok := figPs[*exp]; ok {
 		if err := timed(*exp, func() error {
-			_, err := harness.RunFigR(cfg, graphs, p)
+			_, err := harness.RunFigR(cfg, p)
 			return err
 		}); err != nil {
 			return err
@@ -166,7 +170,7 @@ func run(args []string, out io.Writer) error {
 		}
 		for _, p := range ps {
 			if err := timed("figR", func() error {
-				_, err := harness.RunFigR(cfg, graphs, p)
+				_, err := harness.RunFigR(cfg, p)
 				return err
 			}); err != nil {
 				return err
@@ -175,7 +179,7 @@ func run(args []string, out io.Writer) error {
 	}
 	if *exp == "table6" || *exp == "all" {
 		if err := timed("table6", func() error {
-			return harness.RunTable6(cfg, graphs)
+			return harness.RunTable6(cfg)
 		}); err != nil {
 			return err
 		}
@@ -186,35 +190,35 @@ func run(args []string, out io.Writer) error {
 	}
 	if *exp == "timing" || *exp == "all" {
 		if err := timed("timing", func() error {
-			return harness.RunTiming(cfg, graphs, tp)
+			return harness.RunTiming(cfg, tp)
 		}); err != nil {
 			return err
 		}
 	}
 	if *exp == "ablation" || *exp == "all" {
 		if err := timed("ablation", func() error {
-			return harness.RunAblation(cfg, graphs, tp)
+			return harness.RunAblation(cfg, tp)
 		}); err != nil {
 			return err
 		}
 	}
 	if *exp == "window" || *exp == "all" {
 		if err := timed("window", func() error {
-			return harness.RunWindowAblation(cfg, graphs, tp)
+			return harness.RunWindowAblation(cfg, tp)
 		}); err != nil {
 			return err
 		}
 	}
 	if *exp == "engine" || *exp == "all" {
 		if err := timed("engine", func() error {
-			return harness.RunEngineComparison(cfg, graphs, tp)
+			return harness.RunEngineComparison(cfg, tp)
 		}); err != nil {
 			return err
 		}
 	}
 	if *exp == "refine" || *exp == "all" {
 		if err := timed("refine", func() error {
-			return harness.RunRefineAblation(cfg, graphs, tp)
+			return harness.RunRefineAblation(cfg, tp)
 		}); err != nil {
 			return err
 		}

@@ -26,33 +26,32 @@ func runEverything(t *testing.T, workers int) (string, []Result, string) {
 		CSVDir:   t.TempDir(),
 		Workers:  workers,
 	}
-	graphs, err := RunTable3(cfg)
-	if err != nil {
+	if err := RunTable3(cfg); err != nil {
 		t.Fatal(err)
 	}
-	results, err := RunFig8(cfg, graphs)
+	results, err := RunFig8(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := RunTable4(cfg, results); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunFigR(cfg, graphs, 4); err != nil {
+	if _, err := RunFigR(cfg, 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := RunTable6(cfg, graphs); err != nil {
+	if err := RunTable6(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := RunAblation(cfg, graphs, 4); err != nil {
+	if err := RunAblation(cfg, 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := RunWindowAblation(cfg, graphs, 4); err != nil {
+	if err := RunWindowAblation(cfg, 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := RunEngineComparison(cfg, graphs, 4); err != nil {
+	if err := RunEngineComparison(cfg, 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := RunRefineAblation(cfg, graphs, 4); err != nil {
+	if err := RunRefineAblation(cfg, 4); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String(), results, cfg.CSVDir
@@ -178,14 +177,7 @@ func TestGenerateWorkerCountInvariance(t *testing.T) {
 // return the same underlying graphs instead of regenerating.
 func TestGraphCacheSharesBuilds(t *testing.T) {
 	cfg := Config{Seed: 7, Datasets: gen.SmallDatasets()[:2], Workers: 2}
-	a, err := generateAll(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := generateAll(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := generateAll(cfg), generateAll(cfg)
 	for notation, g := range a {
 		if b[notation] != g {
 			t.Fatalf("dataset %s regenerated instead of cached", notation)

@@ -15,7 +15,7 @@ import (
 // traffic on the share-nothing runtime.
 func TestRunEngineComparison(t *testing.T) {
 	cfg, buf := quickConfig(t)
-	if err := RunEngineComparison(cfg, nil, 4); err != nil {
+	if err := RunEngineComparison(cfg, 4); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

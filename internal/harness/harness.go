@@ -18,11 +18,8 @@ import (
 	"github.com/graphpart/graphpart/internal/core"
 	"github.com/graphpart/graphpart/internal/gen"
 	"github.com/graphpart/graphpart/internal/graph"
-	"github.com/graphpart/graphpart/internal/metis"
-	"github.com/graphpart/graphpart/internal/obs"
 	"github.com/graphpart/graphpart/internal/parallel"
 	"github.com/graphpart/graphpart/internal/partition"
-	"github.com/graphpart/graphpart/internal/streaming"
 )
 
 // Config drives an experiment run.
@@ -73,55 +70,11 @@ type Result struct {
 	Seconds   float64
 }
 
-// algorithmFactories builds the Fig. 8 roster in the paper's order: TLP,
-// METIS, LDG, DBH, Random. Factories (rather than shared instances) let the
-// parallel grid give every cell its own partitioner — partitioners and
-// rng.RNG are not goroutine-safe — while staying deterministic, because each
-// instance is a function of the seed alone.
-var algorithmFactories = []func(seed uint64) partition.Partitioner{
-	func(seed uint64) partition.Partitioner { return core.MustNew(core.Options{Seed: seed}) },
-	func(seed uint64) partition.Partitioner { return metis.New(metis.Config{Seed: seed}) },
-	func(seed uint64) partition.Partitioner { return streaming.NewLDG(seed, streaming.OrderShuffled) },
-	func(seed uint64) partition.Partitioner { return streaming.NewDBH(seed) },
-	func(seed uint64) partition.Partitioner { return streaming.NewRandom(seed) },
-}
-
-// runOne partitions g and measures RF/balance/time.
-func runOne(g *graph.Graph, pt partition.Partitioner, dataset string, p int) (Result, error) {
-	sp := obs.Start("harness.cell", obs.String("dataset", dataset),
-		obs.String("algorithm", pt.Name()), obs.Int("p", p))
-	watch := obs.StartWatch()
-	a, err := pt.Partition(g, p)
-	if err != nil {
-		sp.End()
-		return Result{}, fmt.Errorf("harness: %s on %s p=%d: %w", pt.Name(), dataset, p, err)
-	}
-	elapsed := watch.Seconds()
-	m, err := partition.Compute(g, a)
-	if err != nil {
-		sp.End()
-		return Result{}, fmt.Errorf("harness: metrics for %s on %s: %w", pt.Name(), dataset, err)
-	}
-	sp.EndWith(obs.Float("rf", m.ReplicationFactor), obs.Float("seconds", elapsed))
-	return Result{
-		Dataset:   dataset,
-		Algorithm: pt.Name(),
-		P:         p,
-		RF:        m.ReplicationFactor,
-		Balance:   m.Balance,
-		Seconds:   elapsed,
-	}, nil
-}
-
-// RunTable3 prints the dataset statistics table (Table III analogue) and
-// returns the generated graphs keyed by notation so later experiments can
-// reuse them.
-func RunTable3(cfg Config) (map[string]*graph.Graph, error) {
+// RunTable3 prints the dataset statistics table (Table III analogue),
+// generating the datasets into the cache the other experiments share.
+func RunTable3(cfg Config) error {
 	cfg = cfg.withDefaults()
-	graphs, err := generateAll(cfg)
-	if err != nil {
-		return nil, err
-	}
+	graphs := generateAll(cfg)
 	tw := tabwriter.NewWriter(cfg.Out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "TABLE III: datasets (synthetic analogues; see DESIGN.md §4)")
 	fmt.Fprintln(tw, "Graph\tNotation\t|V(G)|\t|E(G)|\t|V|+|E|\tfamily")
@@ -135,51 +88,17 @@ func RunTable3(cfg Config) (map[string]*graph.Graph, error) {
 			strconv.Itoa(g.NumVertices()), strconv.Itoa(g.NumEdges()), d.Family})
 	}
 	if err := tw.Flush(); err != nil {
-		return nil, fmt.Errorf("harness: flushing table: %w", err)
+		return fmt.Errorf("harness: flushing table: %w", err)
 	}
-	if err := writeCSV(cfg, "table3.csv",
-		[]string{"name", "notation", "vertices", "edges", "family"}, rows); err != nil {
-		return nil, err
-	}
-	return graphs, nil
+	return writeCSV(cfg, "table3.csv",
+		[]string{"name", "notation", "vertices", "edges", "family"}, rows)
 }
 
 // RunFig8 measures RF for the five-algorithm roster on every dataset and
 // partition count, printing one block per p (Fig. 8 a-c).
-func RunFig8(cfg Config, graphs map[string]*graph.Graph) ([]Result, error) {
+func RunFig8(cfg Config) ([]Result, error) {
 	cfg = cfg.withDefaults()
-	var err error
-	if graphs == nil {
-		graphs, err = generateAll(cfg)
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Fan the (p, dataset, algorithm) grid out over the worker pool; cells
-	// are independent, and each gets a fresh partitioner built from the
-	// seed. Results land by cell index, in the exact order the sequential
-	// loops appended them, so tables and CSV rows are unchanged.
-	algNames := make([]string, len(algorithmFactories))
-	for i, f := range algorithmFactories {
-		algNames[i] = f(cfg.Seed).Name()
-	}
-	type cell struct {
-		notation string
-		alg      int
-		p        int
-	}
-	cells := make([]cell, 0, len(cfg.Ps)*len(cfg.Datasets)*len(algorithmFactories))
-	for _, p := range cfg.Ps {
-		for _, d := range cfg.Datasets {
-			for ai := range algorithmFactories {
-				cells = append(cells, cell{notation: d.Notation, alg: ai, p: p})
-			}
-		}
-	}
-	results, err := parallel.MapErr(len(cells), cfg.Workers, func(i int) (Result, error) {
-		c := cells[i]
-		return runOne(graphs[c.notation], algorithmFactories[c.alg](cfg.Seed), c.notation, c.p)
-	})
+	results, err := runGrid(cfg, fig8Families, cfg.Ps, measured)
 	if err != nil {
 		return nil, err
 	}
@@ -187,14 +106,10 @@ func RunFig8(cfg Config, graphs map[string]*graph.Graph) ([]Result, error) {
 	for _, p := range cfg.Ps {
 		fmt.Fprintf(cfg.Out, "\nFIG 8 (p=%d): replication factor by algorithm\n", p)
 		tw := tabwriter.NewWriter(cfg.Out, 2, 4, 2, ' ', 0)
-		header := "graph"
-		for _, name := range algNames {
-			header += "\t" + name
-		}
-		fmt.Fprintln(tw, header)
+		fmt.Fprintln(tw, familyHeader(fig8Families))
 		for _, d := range cfg.Datasets {
 			row := d.Notation
-			for range algNames {
+			for range fig8Families {
 				row += fmt.Sprintf("\t%.3f", results[idx].RF)
 				idx++
 			}
@@ -223,7 +138,7 @@ func RunTable4(cfg Config, fig8 []Result) error {
 	cfg = cfg.withDefaults()
 	if fig8 == nil {
 		var err error
-		fig8, err = RunFig8(cfg, nil)
+		fig8, err = RunFig8(cfg)
 		if err != nil {
 			return err
 		}
@@ -268,28 +183,17 @@ func RunTable4(cfg Config, fig8 []Result) error {
 
 // RunFigR measures TLP against TLP_R for R in {0.0 .. 1.0} at one partition
 // count (Fig. 9 has p=10, Fig. 10 p=15, Fig. 11 p=20).
-func RunFigR(cfg Config, graphs map[string]*graph.Graph, p int) ([]Result, error) {
+func RunFigR(cfg Config, p int) ([]Result, error) {
 	cfg = cfg.withDefaults()
-	var err error
-	if graphs == nil {
-		graphs, err = generateAll(cfg)
-		if err != nil {
-			return nil, err
-		}
-	}
 	rs := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
-	// Fan the (dataset, variant) sweep out over the pool: variant 0 is
-	// plain TLP, variants 1..len(rs) are TLP_R at rs[v-1]. Each task
-	// constructs its own partitioner from the seed.
-	variants := 1 + len(rs)
-	results, err := parallel.MapErr(len(cfg.Datasets)*variants, cfg.Workers, func(i int) (Result, error) {
-		d := cfg.Datasets[i/variants]
-		g := graphs[d.Notation]
-		if v := i % variants; v > 0 {
-			return runOne(g, core.MustNewTLPR(rs[v-1], core.Options{Seed: cfg.Seed}), d.Notation, p)
-		}
-		return runOne(g, core.MustNew(core.Options{Seed: cfg.Seed}), d.Notation, p)
-	})
+	// Variant 0 is plain TLP, variants 1..len(rs) are TLP_R at rs[v-1].
+	fams := pick("TLP")
+	for _, r := range rs {
+		tlpr := func(seed uint64) partition.Partitioner { return core.MustNewTLPR(r, core.Options{Seed: seed}) }
+		fams = append(fams, family{name: tlpr(0).Name(), make: tlpr})
+	}
+	variants := len(fams)
+	results, err := runGrid(cfg, fams, []int{p}, measured)
 	if err != nil {
 		return nil, err
 	}
@@ -321,15 +225,9 @@ func RunFigR(cfg Config, graphs map[string]*graph.Graph, p int) ([]Result, error
 
 // RunTable6 reports the average original-graph degree of vertices selected
 // in Stage I vs Stage II during TLP runs (Table VI analogue).
-func RunTable6(cfg Config, graphs map[string]*graph.Graph) error {
+func RunTable6(cfg Config) error {
 	cfg = cfg.withDefaults()
-	var err error
-	if graphs == nil {
-		graphs, err = generateAll(cfg)
-		if err != nil {
-			return err
-		}
-	}
+	graphs := generateAll(cfg)
 	// Fan the (dataset, p) grid out over the pool with one fresh TLP per
 	// cell, collecting the per-stage stats by cell index.
 	stats, err := parallel.MapErr(len(cfg.Datasets)*len(cfg.Ps), cfg.Workers, func(i int) (core.Stats, error) {
@@ -371,49 +269,28 @@ func RunTable6(cfg Config, graphs map[string]*graph.Graph) error {
 		[]string{"dataset", "p", "avg_degree_stage1", "avg_degree_stage2"}, rows)
 }
 
-// RunTiming measures partitioning wall-clock per algorithm per dataset at
-// one partition count — the runtime counterpart of Section III.E's
-// complexity discussion (the paper reports no times; this table quantifies
-// the TLP-vs-METIS trade the paper describes qualitatively).
-func RunTiming(cfg Config, graphs map[string]*graph.Graph, p int) error {
+// RunTiming renders the partitioning wall-clock of the Fig. 8 cells at one
+// partition count — the runtime counterpart of Section III.E's complexity
+// discussion (the paper reports no times; this table quantifies the
+// TLP-vs-METIS trade the paper describes qualitatively). With Workers > 1
+// the seconds include contention between concurrent cells; run with
+// Workers=1 when clean per-cell numbers are needed.
+func RunTiming(cfg Config, p int) error {
 	cfg = cfg.withDefaults()
-	var err error
-	if graphs == nil {
-		graphs, err = generateAll(cfg)
-		if err != nil {
-			return err
-		}
-	}
-	algNames := make([]string, len(algorithmFactories))
-	for i, f := range algorithmFactories {
-		algNames[i] = f(cfg.Seed).Name()
-	}
-	// Fan the (dataset, algorithm) cells out over the pool. Note that with
-	// Workers > 1 the measured seconds include contention between
-	// concurrent cells; run with Workers=1 when clean per-cell numbers
-	// are needed.
-	results, err := parallel.MapErr(len(cfg.Datasets)*len(algNames), cfg.Workers, func(i int) (Result, error) {
-		d := cfg.Datasets[i/len(algNames)]
-		alg := algorithmFactories[i%len(algNames)](cfg.Seed)
-		return runOne(graphs[d.Notation], alg, d.Notation, p)
-	})
+	results, err := runGrid(cfg, fig8Families, []int{p}, measured)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(cfg.Out, "\nTIMING (p=%d): partitioning seconds by algorithm\n", p)
 	tw := tabwriter.NewWriter(cfg.Out, 2, 4, 2, ' ', 0)
-	header := "graph"
-	for _, name := range algNames {
-		header += "\t" + name
-	}
-	fmt.Fprintln(tw, header)
+	fmt.Fprintln(tw, familyHeader(fig8Families))
 	var rows [][]string
 	for di, d := range cfg.Datasets {
 		row := d.Notation
-		for ai, name := range algNames {
-			res := results[di*len(algNames)+ai]
+		for fi := range fig8Families {
+			res := results[di*len(fig8Families)+fi]
 			row += fmt.Sprintf("\t%.3f", res.Seconds)
-			rows = append(rows, []string{d.Notation, name,
+			rows = append(rows, []string{d.Notation, res.Algorithm,
 				strconv.Itoa(p), fmt.Sprintf("%.4f", res.Seconds)})
 		}
 		fmt.Fprintln(tw, row)
@@ -423,6 +300,15 @@ func RunTiming(cfg Config, graphs map[string]*graph.Graph, p int) error {
 	}
 	return writeCSV(cfg, fmt.Sprintf("timing_p%d.csv", p),
 		[]string{"dataset", "algorithm", "p", "seconds"}, rows)
+}
+
+// familyHeader is the header row of a table with one column per family.
+func familyHeader(fams []family) string {
+	header := "graph"
+	for _, f := range fams {
+		header += "\t" + f.name
+	}
+	return header
 }
 
 // graphCache memoises Dataset.Generate results so the harness entry points
@@ -465,7 +351,7 @@ func cachedGenerate(d gen.Dataset, seed uint64) *graph.Graph {
 
 // generateAll builds (or fetches from cache) every configured dataset, with
 // distinct datasets generating concurrently on the worker pool.
-func generateAll(cfg Config) (map[string]*graph.Graph, error) {
+func generateAll(cfg Config) map[string]*graph.Graph {
 	gs := parallel.Map(len(cfg.Datasets), cfg.Workers, func(i int) *graph.Graph {
 		return cachedGenerate(cfg.Datasets[i], cfg.Seed)
 	})
@@ -473,7 +359,7 @@ func generateAll(cfg Config) (map[string]*graph.Graph, error) {
 	for i, d := range cfg.Datasets {
 		graphs[d.Notation] = gs[i]
 	}
-	return graphs, nil
+	return graphs
 }
 
 func writeCSV(cfg Config, name string, header []string, rows [][]string) (err error) {

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
+	"github.com/graphpart/graphpart"
 	"github.com/graphpart/graphpart/internal/gen"
 )
 
@@ -27,12 +30,8 @@ func quickConfig(t *testing.T) (Config, *bytes.Buffer) {
 
 func TestRunTable3(t *testing.T) {
 	cfg, buf := quickConfig(t)
-	graphs, err := RunTable3(cfg)
-	if err != nil {
+	if err := RunTable3(cfg); err != nil {
 		t.Fatal(err)
-	}
-	if len(graphs) != 3 {
-		t.Fatalf("got %d graphs", len(graphs))
 	}
 	out := buf.String()
 	if !strings.Contains(out, "TABLE III") || !strings.Contains(out, "G1s") {
@@ -45,11 +44,7 @@ func TestRunTable3(t *testing.T) {
 
 func TestRunFig8AndTable4(t *testing.T) {
 	cfg, buf := quickConfig(t)
-	graphs, err := RunTable3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := RunFig8(cfg, graphs)
+	results, err := RunFig8(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +74,7 @@ func TestRunFig8AndTable4(t *testing.T) {
 func TestRunFigR(t *testing.T) {
 	cfg, buf := quickConfig(t)
 	cfg.Datasets = gen.SmallDatasets()[:2]
-	graphs, err := RunTable3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := RunFigR(cfg, graphs, 4)
+	results, err := RunFigR(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +93,7 @@ func TestRunFigR(t *testing.T) {
 func TestRunTable6(t *testing.T) {
 	cfg, buf := quickConfig(t)
 	cfg.Datasets = gen.SmallDatasets()[:2]
-	graphs, err := RunTable3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := RunTable6(cfg, graphs); err != nil {
+	if err := RunTable6(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "TABLE VI") {
@@ -119,13 +106,34 @@ func TestRunTable6(t *testing.T) {
 
 func TestAlgorithmsRoster(t *testing.T) {
 	want := []string{"TLP", "METIS", "LDG", "DBH", "Random"}
-	if len(algorithmFactories) != len(want) {
-		t.Fatalf("roster size %d", len(algorithmFactories))
+	if len(fig8Families) != len(want) {
+		t.Fatalf("roster size %d", len(fig8Families))
 	}
-	for i, f := range algorithmFactories {
-		if name := f(1).Name(); name != want[i] {
-			t.Fatalf("roster[%d] = %s, want %s", i, name, want[i])
+	for i, f := range fig8Families {
+		if f.name != want[i] {
+			t.Fatalf("roster[%d] = %s, want %s", i, f.name, want[i])
 		}
+		if name := f.make(1).Name(); name != want[i] {
+			t.Fatalf("roster[%d] builds %s, want %s", i, name, want[i])
+		}
+	}
+}
+
+// TestRosterMatchesAllPartitioners pins that the harness roster and the
+// public registry build the same set of partitioners, so a family added to
+// one and not the other fails here.
+func TestRosterMatchesAllPartitioners(t *testing.T) {
+	var fromRoster, fromRegistry []string
+	for _, f := range roster {
+		fromRoster = append(fromRoster, f.make(1).Name())
+	}
+	for _, pt := range graphpart.AllPartitioners(1) {
+		fromRegistry = append(fromRegistry, pt.Name())
+	}
+	sort.Strings(fromRoster)
+	sort.Strings(fromRegistry)
+	if !slices.Equal(fromRoster, fromRegistry) {
+		t.Fatalf("roster builds %v, AllPartitioners builds %v", fromRoster, fromRegistry)
 	}
 }
 
@@ -140,11 +148,7 @@ func TestNoCSVWhenDirEmpty(t *testing.T) {
 func TestRunAblation(t *testing.T) {
 	cfg, buf := quickConfig(t)
 	cfg.Datasets = gen.SmallDatasets()[:2]
-	graphs, err := RunTable3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := RunAblation(cfg, graphs, 4); err != nil {
+	if err := RunAblation(cfg, 4); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -7,7 +7,7 @@ import (
 
 	"github.com/graphpart/graphpart/internal/graph"
 	"github.com/graphpart/graphpart/internal/obs"
-	"github.com/graphpart/graphpart/internal/parallel"
+	"github.com/graphpart/graphpart/internal/partition"
 	"github.com/graphpart/graphpart/internal/refine"
 )
 
@@ -41,35 +41,18 @@ type RefineResult struct {
 // on top of TLP, METIS, TLP-SW and the streaming families (ROADMAP item 4's
 // headline table). Cells fan out over the worker pool; each cell's refiner
 // runs on its own goroutine, so rows are the same for any worker count.
-func RunRefineAblation(cfg Config, graphs map[string]*graph.Graph, p int) error {
+func RunRefineAblation(cfg Config, p int) error {
 	cfg = cfg.withDefaults()
-	var err error
-	if graphs == nil {
-		graphs, err = generateAll(cfg)
-		if err != nil {
-			return err
-		}
-	}
-	roster := engineRoster()
-	results, err := parallel.MapErr(len(cfg.Datasets)*len(roster), cfg.Workers, func(i int) (RefineResult, error) {
-		d := cfg.Datasets[i/len(roster)]
-		r := roster[i%len(roster)]
-		g := graphs[d.Notation]
-		res := RefineResult{Dataset: d.Notation, Algorithm: r.name, P: p}
-		if r.maxEdges > 0 && g.NumEdges() > r.maxEdges {
-			res.Skipped = true
+	results, err := runGrid(cfg, roster, []int{p}, func(g *graph.Graph, r Result, a *partition.Assignment) (RefineResult, error) {
+		res := RefineResult{Dataset: r.Dataset, Algorithm: r.Algorithm, P: p,
+			Skipped: a == nil, PartitionSeconds: r.Seconds}
+		if a == nil {
 			return res, nil
 		}
 		watch := obs.StartWatch()
-		a, err := r.make(cfg.Seed).Partition(g, p)
-		if err != nil {
-			return res, fmt.Errorf("harness: refine ablation %s on %s: %w", r.name, d.Notation, err)
-		}
-		res.PartitionSeconds = watch.Seconds()
-		watch = obs.StartWatch()
 		stats, err := refine.Run(g, a, refine.Options{})
 		if err != nil {
-			return res, fmt.Errorf("harness: refining %s on %s: %w", r.name, d.Notation, err)
+			return res, fmt.Errorf("harness: refining %s on %s: %w", r.Algorithm, r.Dataset, err)
 		}
 		res.RefineSeconds = watch.Seconds()
 		res.RFBefore, res.RFAfter = stats.RFBefore, stats.RFAfter

@@ -20,7 +20,7 @@ import (
 // majority of the grid (the streaming families leave plenty on the table).
 func TestRunRefineAblation(t *testing.T) {
 	cfg, buf := quickConfig(t)
-	if err := RunRefineAblation(cfg, nil, 4); err != nil {
+	if err := RunRefineAblation(cfg, 4); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -81,11 +81,7 @@ func TestRunRefineAblation(t *testing.T) {
 // from.
 func TestRefinedPartitionMovesFewerMessages(t *testing.T) {
 	cfg, _ := quickConfig(t)
-	graphs, err := generateAll(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := graphs[cfg.Datasets[0].Notation]
+	g := generateAll(cfg)[cfg.Datasets[0].Notation]
 	p := 4
 	base, err := streaming.NewRandom(cfg.Seed).Partition(g, p)
 	if err != nil {

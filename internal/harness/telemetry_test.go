@@ -78,11 +78,7 @@ func TestTelemetryUnderParallelHarness(t *testing.T) {
 		Out:      discard{},
 		Workers:  8,
 	}
-	graphs, err := RunTable3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := RunFig8(cfg, graphs)
+	results, err := RunFig8(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"text/tabwriter"
 
-	"github.com/graphpart/graphpart/internal/graph"
 	"github.com/graphpart/graphpart/internal/obs"
 	"github.com/graphpart/graphpart/internal/parallel"
 	"github.com/graphpart/graphpart/internal/partition"
@@ -23,15 +22,9 @@ var windowMultipliers = []float64{0.5, 1, 2, 4}
 // window behaviour counters (peak resident edges, final-sweep edges): a
 // smaller window holds less context per growth decision, so quality
 // degrades.
-func RunWindowAblation(cfg Config, graphs map[string]*graph.Graph, p int) error {
+func RunWindowAblation(cfg Config, p int) error {
 	cfg = cfg.withDefaults()
-	var err error
-	if graphs == nil {
-		graphs, err = generateAll(cfg)
-		if err != nil {
-			return err
-		}
-	}
+	graphs := generateAll(cfg)
 	type windowCell struct {
 		rf      float64
 		stats   window.Stats

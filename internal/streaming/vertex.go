@@ -64,21 +64,7 @@ func (x *LDG) PartitionStream(src source.EdgeSource, p int) (*partition.Assignme
 	if gb, ok := src.(graphBacked); ok {
 		return x.Partition(gb.Graph(), p)
 	}
-	n := src.NumVertices()
-	capV := float64(n)/float64(p) + 1
-	labels, err := streamVertexLabels(src, p, func(row []int32, loads []int) int {
-		best, bestScore := 0, math.Inf(-1)
-		for k := 0; k < p; k++ {
-			score := float64(row[k]) * (1 - float64(loads[k])/capV)
-			if loads[k] >= int(capV) {
-				score = math.Inf(-1) // full
-			}
-			if score > bestScore || (score == bestScore && loads[k] < loads[best]) {
-				best, bestScore = k, score
-			}
-		}
-		return best
-	})
+	labels, err := streamVertexLabels(src, p, ldgChooser(src.NumVertices(), p))
 	if err != nil {
 		return nil, err
 	}
@@ -90,26 +76,24 @@ func (x *LDG) VertexPartition(g *graph.Graph, p int) ([]int32, error) {
 	if err := validateInput(g, p); err != nil {
 		return nil, err
 	}
-	n := g.NumVertices()
-	labels := make([]int32, n)
-	for i := range labels {
-		labels[i] = -1
-	}
+	return placeVertices(g, p, x.vertexOrder(g), ldgChooser(g.NumVertices(), p)), nil
+}
+
+// chooser places one vertex of a vertex stream: given row[k], how many of
+// its neighbours part k already holds, and the parts' vertex loads, it
+// returns the part to place it in.
+type chooser func(row []int32, loads []int) int
+
+// ldgChooser is LDG's placement rule for a graph of n vertices: the part
+// holding most of the vertex's placed neighbours (row), damped by the load
+// penalty 1 - |P_k|/C with C = n/p + 1; full parts are never chosen, and
+// ties go to the lighter part.
+func ldgChooser(n, p int) chooser {
 	capV := float64(n)/float64(p) + 1
-	loads := make([]int, p)
-	nbrIn := make([]int, p)
-	for _, v := range x.vertexOrder(g) {
-		for k := range nbrIn {
-			nbrIn[k] = 0
-		}
-		for _, u := range g.Neighbors(v) {
-			if l := labels[u]; l >= 0 {
-				nbrIn[l]++
-			}
-		}
+	return func(row []int32, loads []int) int {
 		best, bestScore := 0, math.Inf(-1)
 		for k := 0; k < p; k++ {
-			score := float64(nbrIn[k]) * (1 - float64(loads[k])/capV)
+			score := float64(row[k]) * (1 - float64(loads[k])/capV)
 			if loads[k] >= int(capV) {
 				score = math.Inf(-1) // full
 			}
@@ -117,10 +101,32 @@ func (x *LDG) VertexPartition(g *graph.Graph, p int) ([]int32, error) {
 				best, bestScore = k, score
 			}
 		}
-		labels[v] = int32(best)
-		loads[best]++
+		return best
 	}
-	return labels, nil
+}
+
+// placeVertices is the graph path of LDG and FENNEL: it visits the vertices
+// in order and places each with choose, given how many of its neighbours
+// each part already holds.
+func placeVertices(g *graph.Graph, p int, order []graph.Vertex, choose chooser) []int32 {
+	labels := make([]int32, g.NumVertices())
+	for i := range labels {
+		labels[i] = -1
+	}
+	loads := make([]int, p)
+	nbrIn := make([]int32, p)
+	for _, v := range order {
+		clear(nbrIn)
+		for _, u := range g.Neighbors(v) {
+			if l := labels[u]; l >= 0 {
+				nbrIn[l]++
+			}
+		}
+		k := choose(nbrIn, loads)
+		labels[v] = int32(k)
+		loads[k]++
+	}
+	return labels
 }
 
 func (x *LDG) vertexOrder(g *graph.Graph) []graph.Vertex {
@@ -191,27 +197,7 @@ func (x *FENNEL) PartitionStream(src source.EdgeSource, p int) (*partition.Assig
 	if gb, ok := src.(graphBacked); ok {
 		return x.Partition(gb.Graph(), p)
 	}
-	n, m := src.NumVertices(), src.NumEdges()
-	gamma := x.gamma
-	alpha := math.Sqrt(float64(p)) * float64(m) / math.Pow(float64(n), gamma)
-	if alpha <= 0 || math.IsNaN(alpha) {
-		alpha = 1
-	}
-	const nu = 1.1
-	capV := int(nu*float64(n)/float64(p)) + 1
-	labels, err := streamVertexLabels(src, p, func(row []int32, loads []int) int {
-		best, bestScore := 0, math.Inf(-1)
-		for k := 0; k < p; k++ {
-			if loads[k] >= capV {
-				continue
-			}
-			score := float64(row[k]) - alpha*gamma*math.Pow(float64(loads[k]), gamma-1)
-			if score > bestScore || (score == bestScore && loads[k] < loads[best]) {
-				best, bestScore = k, score
-			}
-		}
-		return best
-	})
+	labels, err := streamVertexLabels(src, p, fennelChooser(src.NumVertices(), src.NumEdges(), p, x.gamma))
 	if err != nil {
 		return nil, err
 	}
@@ -223,47 +209,36 @@ func (x *FENNEL) VertexPartition(g *graph.Graph, p int) ([]int32, error) {
 	if err := validateInput(g, p); err != nil {
 		return nil, err
 	}
-	n := g.NumVertices()
-	m := g.NumEdges()
-	labels := make([]int32, n)
-	for i := range labels {
-		labels[i] = -1
-	}
-	gamma := x.gamma
+	ldg := LDG{seed: x.seed, order: x.order}
+	return placeVertices(g, p, ldg.vertexOrder(g),
+		fennelChooser(g.NumVertices(), g.NumEdges(), p, x.gamma)), nil
+}
+
+// fennelChooser is FENNEL's placement rule for a graph of n vertices and m
+// edges: the part maximising |N(v) ∩ P_k| - alpha*gamma*|P_k|^(gamma-1)
+// with alpha = sqrt(p)*m/n^gamma, ties to the lighter part. A hard cap of
+// nu*n/p vertices per part keeps the derived edge partition from
+// degenerating when the penalty term underflows.
+func fennelChooser(n, m, p int, gamma float64) chooser {
 	alpha := math.Sqrt(float64(p)) * float64(m) / math.Pow(float64(n), gamma)
 	if alpha <= 0 || math.IsNaN(alpha) {
 		alpha = 1
 	}
-	// Hard cap keeps the derived edge partition from degenerating when
-	// the penalty term underflows: nu * n/p vertices per part.
 	const nu = 1.1
 	capV := int(nu*float64(n)/float64(p)) + 1
-	loads := make([]int, p)
-	nbrIn := make([]int, p)
-	ldg := LDG{seed: x.seed, order: x.order}
-	for _, v := range ldg.vertexOrder(g) {
-		for k := range nbrIn {
-			nbrIn[k] = 0
-		}
-		for _, u := range g.Neighbors(v) {
-			if l := labels[u]; l >= 0 {
-				nbrIn[l]++
-			}
-		}
+	return func(row []int32, loads []int) int {
 		best, bestScore := 0, math.Inf(-1)
 		for k := 0; k < p; k++ {
 			if loads[k] >= capV {
 				continue
 			}
-			score := float64(nbrIn[k]) - alpha*gamma*math.Pow(float64(loads[k]), gamma-1)
+			score := float64(row[k]) - alpha*gamma*math.Pow(float64(loads[k]), gamma-1)
 			if score > bestScore || (score == bestScore && loads[k] < loads[best]) {
 				best, bestScore = k, score
 			}
 		}
-		labels[v] = int32(best)
-		loads[best]++
+		return best
 	}
-	return labels, nil
 }
 
 // streamVertexLabels is the two-pass degree-sketch vertex placement used by
@@ -281,7 +256,13 @@ func (x *FENNEL) VertexPartition(g *graph.Graph, p int) ([]int32, error) {
 // unplaced when the edge passes — and stay unplaced — are the sketch's
 // information loss. Degree-0 vertices are swept in id order at the end.
 // A final pass derives the edge placement (metis.DeriveEdgePartition).
-func streamVertexLabels(src source.EdgeSource, p int, choose func(row []int32, loads []int) int) ([]int32, error) {
+//
+// The loss is large: on a shuffled replay of G1s (seed 42) at p=4 the
+// stream path's RF is 3.815 for LDG and 3.705 for FENNEL, against 2.750
+// and 2.380 on the graph path and 3.995 for Random; at p=10 it is 6.830
+// and 7.125 against 4.400 and 4.520 (Random 8.990). DESIGN.md §9 has the
+// table.
+func streamVertexLabels(src source.EdgeSource, p int, choose chooser) ([]int32, error) {
 	n := src.NumVertices()
 	deg := make([]int32, n)
 	err := forEachEdge(src, func(e source.Edge) {
