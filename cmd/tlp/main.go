@@ -33,6 +33,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -80,7 +81,7 @@ func run() error {
 		dense    = flag.Bool("dense", false, "with -stream -input: intern sparse vertex ids instead of assuming 0..maxID")
 		runProg  = flag.String("run", "", "execute a vertex program on the partitioning: 'pagerank' or 'cc'")
 		maxSS    = flag.Int("supersteps", 20, "with -run: superstep bound for the vertex program")
-		trans    = flag.String("transport", "mem", "with -run: 'mem' (in-process engine) or 'tcp' (one OS process per machine over real sockets)")
+		trans    = flag.String("transport", "mem", "with -run: 'mem' (every machine in this process) or 'tcp' (one OS process per machine over TCP sockets, as graphd's \"cluster\" transport)")
 		traceOut = flag.String("trace", "", "write a Chrome trace-event file of the run (load at chrome://tracing)")
 		metrics  = flag.String("metrics", "", "write a JSON metrics snapshot of the run")
 		pprof    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
@@ -109,6 +110,15 @@ func run() error {
 func runBody(input, dataset, algo string, p int, r float64, seed uint64,
 	stats, doRef bool, report string, stream bool, winSize int, dense bool,
 	runProg string, maxSS int, transport string) (*graphpart.ClusterTelemetry, error) {
+	// A bad choice fails here, before any graph is loaded or partitioned.
+	switch {
+	case runProg != "" && !slices.Contains([]string{"pagerank", "cc"}, strings.ToLower(runProg)):
+		return nil, fmt.Errorf("unknown program %q (pagerank or cc)", runProg)
+	case transport != "mem" && transport != "tcp":
+		return nil, fmt.Errorf("unknown transport %q (mem or tcp)", transport)
+	case report != "" && report != "text" && report != "json":
+		return nil, fmt.Errorf("unknown report format %q (text or json)", report)
+	}
 	if stream {
 		if runProg != "" {
 			return nil, fmt.Errorf("-run needs a materialised graph and cannot be combined with -stream")
@@ -193,9 +203,7 @@ func runBody(input, dataset, algo string, p int, r float64, seed uint64,
 	if finite > 0 {
 		fmt.Printf("partition modularity: min %.3f, max %.3f (%d isolated partitions)\n", minMod, maxMod, inf)
 	}
-	switch report {
-	case "":
-	case "text", "json":
+	if report != "" {
 		rep, err := graphpart.BuildReport(g, a)
 		if err != nil {
 			return nil, err
@@ -207,8 +215,6 @@ func runBody(input, dataset, algo string, p int, r float64, seed uint64,
 		} else if err := rep.WriteText(os.Stdout); err != nil {
 			return nil, err
 		}
-	default:
-		return nil, fmt.Errorf("unknown report format %q (text or json)", report)
 	}
 	if stats && tlpStats != nil {
 		fmt.Printf("stage I selections: %d (avg degree %.2f)\n",

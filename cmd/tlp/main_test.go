@@ -206,3 +206,27 @@ func TestRunEngineClusterTransport(t *testing.T) {
 func writeTelemetryTo(w io.Writer, ct *graphpart.ClusterTelemetry) error {
 	return ct.WriteChromeTrace(w)
 }
+
+// TestRunBodyRejectsBadChoicesFirst checks that an unknown -run, -transport
+// or -report value is named before the input is touched: with a missing
+// -input file the error must name the flag value, not the load failure.
+func TestRunBodyRejectsBadChoicesFirst(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.txt")
+	for _, tc := range []struct {
+		runProg, transport, report string
+		stream                     bool
+		bad                        string
+	}{
+		{"bogus", "mem", "", false, "bogus"},
+		{"bogus", "mem", "", true, "bogus"},
+		{"pagerank", "carrier-pigeon", "", false, "carrier-pigeon"},
+		{"", "carrier-pigeon", "", false, "carrier-pigeon"},
+		{"", "mem", "yaml", false, "yaml"},
+	} {
+		_, err := runBody(missing, "", "tlp", 4, 0.5, 1, false, false, tc.report,
+			tc.stream, 0, false, tc.runProg, 10, tc.transport)
+		if err == nil || !strings.Contains(err.Error(), tc.bad) {
+			t.Errorf("%+v: error %v does not name %q", tc, err, tc.bad)
+		}
+	}
+}

@@ -47,8 +47,8 @@ func TestTelemetryDoesNotChangeOutput(t *testing.T) {
 			t.Fatalf("result %d differs:\noff: %+v\non:  %+v", i, a, b)
 		}
 	}
-	drop := map[string]bool{"seconds": true, "partition_seconds": true, "run_seconds": true}
-	for _, name := range []string{"table3.csv", "fig8.csv", "table4.csv", "figR_p4.csv", "table6.csv", "ablation_p4.csv", "window_p4.csv", "engine_comm.csv"} {
+	drop := map[string]bool{"seconds": true, "partition_seconds": true, "run_seconds": true, "refine_seconds": true}
+	for _, name := range []string{"table3.csv", "fig8.csv", "table4.csv", "figR_p4.csv", "table6.csv", "ablation_p4.csv", "window_p4.csv", "engine_comm.csv", "refine.csv"} {
 		rowsOff := stripSeconds(t, filepath.Join(dirOff, name), drop)
 		rowsOn := stripSeconds(t, filepath.Join(dirOn, name), drop)
 		if len(rowsOff) != len(rowsOn) {

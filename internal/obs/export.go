@@ -1,17 +1,16 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 )
 
-// exportRecord is the JSON shape shared by the JSONL and Chrome trace-event
-// exports. Fields follow the trace-event format: ph is the phase ('X'
-// complete span, 'i' instant), ts/dur are microseconds from the trace
-// epoch, and tid is the record's track.
+// exportRecord is one event of the Chrome trace-event exports. Fields follow
+// the trace-event format: ph is the phase ('X' complete span, 'i' instant),
+// ts/dur are microseconds from the trace epoch, and tid is the record's
+// track.
 type exportRecord struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat"`
@@ -45,23 +44,6 @@ func toExport(rec *Record) exportRecord {
 		}
 	}
 	return er
-}
-
-// WriteTraceJSONL writes the current trace ring as one JSON object per
-// line.
-func WriteTraceJSONL(w io.Writer) error {
-	recs, _ := TraceRecords()
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range recs {
-		if err := enc.Encode(toExport(&recs[i])); err != nil {
-			return fmt.Errorf("obs: encoding trace record: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("obs: flushing trace: %w", err)
-	}
-	return nil
 }
 
 // chromeTrace is the top-level Chrome trace-event document.

@@ -1,6 +1,6 @@
 // Package obs is the repository's unified telemetry layer: a metrics
 // registry (atomic counters and gauges), span-based tracing into a bounded
-// in-memory ring (exportable as JSONL and Chrome trace-event JSON), and the
+// in-memory ring (exportable as Chrome trace-event JSON), and the
 // single sanctioned clock seam.
 //
 // Two contracts govern every instrumentation site:

@@ -2,7 +2,7 @@ package obs
 
 import (
 	"bufio"
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -26,16 +26,17 @@ type ProcessSnapshot struct {
 	EpochUnixNano int64 `json:"epoch_unix_nano"`
 	// Dropped counts records the bounded ring overwrote.
 	Dropped int64 `json:"dropped"`
-	// Records is the trace ring in chronological order.
+	// Records is the trace ring in chronological order. Encode ships them
+	// in their own compact form (snapshotJSON).
 	Records []Record `json:"-"`
 	// Metrics is the process's metric registry snapshot.
 	Metrics MetricsSnapshot `json:"metrics"`
 }
 
-// TraceEpoch returns the absolute wall-clock time the trace ring was
+// traceEpoch returns the absolute wall-clock time the trace ring was
 // anchored at (the moment Enable or ResetTrace started recording), or the
 // zero time if nothing anchored it yet.
-func TraceEpoch() time.Time {
+func traceEpoch() time.Time {
 	traceRing.mu.Lock()
 	defer traceRing.mu.Unlock()
 	return traceRing.epoch
@@ -46,7 +47,7 @@ func TraceEpoch() time.Time {
 func CaptureSnapshot(process string, pid int) ProcessSnapshot {
 	recs, dropped := TraceRecords()
 	var epoch int64
-	if e := TraceEpoch(); !e.IsZero() {
+	if e := traceEpoch(); !e.IsZero() {
 		epoch = e.UnixNano()
 	}
 	return ProcessSnapshot{
@@ -59,265 +60,85 @@ func CaptureSnapshot(process string, pid int) ProcessSnapshot {
 	}
 }
 
-// snapshotMagic and snapshotVersion frame the binary snapshot encoding.
-// The version is bumped on any layout change; decoders reject unknown
-// versions rather than guessing.
-var snapshotMagic = [4]byte{'O', 'B', 'S', 'S'}
-
-const snapshotVersion = 2
-
-// Encode serialises the snapshot into the compact versioned binary form
-// shipped over the wire: a string table (names, attribute keys and string
-// values are deduplicated) followed by varint-packed records and metrics.
-func (ps *ProcessSnapshot) Encode() []byte {
-	tab := newStringTable()
-	tab.add(ps.Process)
-	for i := range ps.Records {
-		rec := &ps.Records[i]
-		tab.add(rec.Name)
-		for _, a := range rec.Attrs[:rec.NAttrs] {
-			tab.add(a.Key)
-			if a.kind == kindString {
-				tab.add(a.str)
-			}
-		}
-	}
-	counters := sortedKeys(ps.Metrics.Counters)
-	gauges := sortedKeys(ps.Metrics.Gauges)
-	for _, n := range counters {
-		tab.add(n)
-	}
-	for _, n := range gauges {
-		tab.add(n)
-	}
-
-	buf := append([]byte(nil), snapshotMagic[:]...)
-	buf = append(buf, snapshotVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(tab.strs)))
-	for _, s := range tab.strs {
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
-	}
-	buf = binary.AppendUvarint(buf, tab.idx[ps.Process])
-	buf = binary.AppendVarint(buf, int64(ps.PID))
-	buf = binary.AppendVarint(buf, ps.EpochUnixNano)
-	buf = binary.AppendVarint(buf, ps.Dropped)
-
-	buf = binary.AppendUvarint(buf, uint64(len(ps.Records)))
-	for i := range ps.Records {
-		rec := &ps.Records[i]
-		buf = append(buf, rec.Kind)
-		buf = binary.AppendVarint(buf, int64(rec.Track))
-		buf = binary.AppendVarint(buf, int64(rec.Start))
-		buf = binary.AppendVarint(buf, int64(rec.Dur))
-		buf = binary.AppendUvarint(buf, uint64(tab.idx[rec.Name]))
-		buf = append(buf, rec.NAttrs)
-		for _, a := range rec.Attrs[:rec.NAttrs] {
-			buf = binary.AppendUvarint(buf, tab.idx[a.Key])
-			buf = append(buf, byte(a.kind))
-			if a.kind == kindString {
-				buf = binary.AppendUvarint(buf, tab.idx[a.str])
-			} else {
-				buf = binary.LittleEndian.AppendUint64(buf, a.num)
-			}
-		}
-	}
-
-	buf = binary.AppendUvarint(buf, uint64(len(counters)))
-	for _, n := range counters {
-		buf = binary.AppendUvarint(buf, tab.idx[n])
-		buf = binary.AppendVarint(buf, ps.Metrics.Counters[n])
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(gauges)))
-	for _, n := range gauges {
-		buf = binary.AppendUvarint(buf, tab.idx[n])
-		buf = binary.AppendVarint(buf, ps.Metrics.Gauges[n])
-	}
-	return buf
+// snapshotJSON is the encoding of a ProcessSnapshot: its header and metrics
+// under their own JSON names, plus the records. A full ring is 16,384
+// records, so records and attributes use one-letter keys and omit zero
+// fields to keep the upload well under the wire's frame bound.
+type snapshotJSON struct {
+	ProcessSnapshot
+	Records []recordJSON `json:"records"`
 }
 
-// DecodeSnapshot parses a snapshot produced by Encode, validating the magic,
-// version and every length field against the remaining input.
+type recordJSON struct {
+	Name  string        `json:"n"`
+	Kind  string        `json:"k"`
+	Track int32         `json:"t,omitempty"`
+	Start time.Duration `json:"s,omitempty"`
+	Dur   time.Duration `json:"d,omitempty"`
+	Attrs []attrJSON    `json:"a,omitempty"`
+}
+
+// attrJSON carries an attribute's payload as its raw bits, so int and float
+// values round-trip exactly.
+type attrJSON struct {
+	Key  string   `json:"k"`
+	Kind attrKind `json:"t,omitempty"`
+	Num  uint64   `json:"n,omitempty"`
+	Str  string   `json:"s,omitempty"`
+}
+
+// Encode serialises the snapshot as compact JSON, the form a cluster worker
+// ships to the coordinator.
+func (ps *ProcessSnapshot) Encode() ([]byte, error) {
+	out := snapshotJSON{ProcessSnapshot: *ps, Records: make([]recordJSON, len(ps.Records))}
+	for i := range ps.Records {
+		rec := &ps.Records[i]
+		r := recordJSON{Name: rec.Name, Kind: string(rec.Kind), Track: rec.Track, Start: rec.Start, Dur: rec.Dur}
+		for _, a := range rec.Attrs[:rec.NAttrs] {
+			r.Attrs = append(r.Attrs, attrJSON{Key: a.Key, Kind: a.kind, Num: a.num, Str: a.str})
+		}
+		out.Records[i] = r
+	}
+	data, err := json.Marshal(&out)
+	if err != nil {
+		return nil, fmt.Errorf("obs: encoding snapshot: %w", err)
+	}
+	return data, nil
+}
+
+// DecodeSnapshot parses a snapshot produced by Encode. The bytes come from
+// another process, so it rejects unknown fields, trailing data, record kinds
+// other than 'X' and 'i', unknown attribute kinds and records with more than
+// maxAttrs attributes.
 func DecodeSnapshot(data []byte) (ProcessSnapshot, error) {
-	var ps ProcessSnapshot
-	d := snapDecoder{buf: data}
-	var magic [4]byte
-	copy(magic[:], d.bytes(4))
-	if d.err == nil && magic != snapshotMagic {
-		return ps, fmt.Errorf("obs: snapshot has bad magic %q", magic[:])
+	var in snapshotJSON
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&in); err != nil {
+		return ProcessSnapshot{}, fmt.Errorf("obs: decoding snapshot: %w", err)
 	}
-	if v := d.u8(); d.err == nil && v != snapshotVersion {
-		return ps, fmt.Errorf("obs: snapshot version %d, want %d", v, snapshotVersion)
+	if _, err := dec.Token(); err != io.EOF {
+		return ProcessSnapshot{}, fmt.Errorf("obs: snapshot has trailing data after byte %d", dec.InputOffset())
 	}
-	nstr := d.length("string table")
-	strs := make([]string, 0, nstr)
-	for i := 0; i < nstr && d.err == nil; i++ {
-		strs = append(strs, string(d.bytes(d.length("string"))))
-	}
-	str := func(what string) string {
-		i := d.uvarint()
-		if d.err != nil {
-			return ""
+	ps := in.ProcessSnapshot
+	ps.Records = make([]Record, len(in.Records))
+	for i, r := range in.Records {
+		if r.Kind != "X" && r.Kind != "i" {
+			return ProcessSnapshot{}, fmt.Errorf("obs: snapshot record %d has kind %q (want X or i)", i, r.Kind)
 		}
-		if i >= uint64(len(strs)) {
-			d.err = fmt.Errorf("obs: snapshot %s index %d out of range (%d strings)", what, i, len(strs))
-			return ""
+		if len(r.Attrs) > maxAttrs {
+			return ProcessSnapshot{}, fmt.Errorf("obs: snapshot record %d has %d attrs (max %d)", i, len(r.Attrs), maxAttrs)
 		}
-		return strs[i]
-	}
-
-	ps.Process = str("process")
-	ps.PID = int(d.varint())
-	ps.EpochUnixNano = d.varint()
-	ps.Dropped = d.varint()
-
-	nrec := d.length("records")
-	ps.Records = make([]Record, 0, nrec)
-	for i := 0; i < nrec && d.err == nil; i++ {
-		var rec Record
-		rec.Kind = d.u8()
-		rec.Track = int32(d.varint())
-		rec.Start = time.Duration(d.varint())
-		rec.Dur = time.Duration(d.varint())
-		rec.Name = str("record name")
-		rec.NAttrs = d.u8()
-		if rec.NAttrs > maxAttrs {
-			d.err = fmt.Errorf("obs: snapshot record %d has %d attrs (max %d)", i, rec.NAttrs, maxAttrs)
-			break
-		}
-		for j := 0; j < int(rec.NAttrs) && d.err == nil; j++ {
-			a := Attr{Key: str("attr key")}
-			a.kind = attrKind(d.u8())
-			if a.kind == kindString {
-				a.str = str("attr value")
-			} else {
-				a.num = d.u64()
+		rec := Record{Name: r.Name, Kind: r.Kind[0], Track: r.Track, Start: r.Start, Dur: r.Dur, NAttrs: uint8(len(r.Attrs))}
+		for j, a := range r.Attrs {
+			if a.Kind > kindString {
+				return ProcessSnapshot{}, fmt.Errorf("obs: snapshot record %d attr %q has unknown kind %d", i, a.Key, a.Kind)
 			}
-			rec.Attrs[j] = a
+			rec.Attrs[j] = Attr{Key: a.Key, str: a.Str, num: a.Num, kind: a.Kind}
 		}
-		ps.Records = append(ps.Records, rec)
-	}
-
-	ps.Metrics = MetricsSnapshot{
-		Counters: map[string]int64{},
-		Gauges:   map[string]int64{},
-	}
-	for i, n := 0, d.length("counters"); i < n && d.err == nil; i++ {
-		name := str("counter name")
-		ps.Metrics.Counters[name] = d.varint()
-	}
-	for i, n := 0, d.length("gauges"); i < n && d.err == nil; i++ {
-		name := str("gauge name")
-		ps.Metrics.Gauges[name] = d.varint()
-	}
-	if d.err != nil {
-		return ProcessSnapshot{}, d.err
-	}
-	if len(d.buf) != d.off {
-		return ProcessSnapshot{}, fmt.Errorf("obs: snapshot has %d trailing bytes", len(d.buf)-d.off)
+		ps.Records[i] = rec
 	}
 	return ps, nil
-}
-
-// stringTable deduplicates strings for the snapshot encoding.
-type stringTable struct {
-	idx  map[string]uint64
-	strs []string
-}
-
-func newStringTable() *stringTable { return &stringTable{idx: map[string]uint64{}} }
-
-func (t *stringTable) add(s string) {
-	if _, ok := t.idx[s]; !ok {
-		t.idx[s] = uint64(len(t.strs))
-		t.strs = append(t.strs, s)
-	}
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k) //lint:ignore GL001 sorted on the next line
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// snapDecoder reads the snapshot encoding with sticky errors and hard
-// bounds checks, so a truncated or hostile payload fails cleanly.
-type snapDecoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *snapDecoder) bytes(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || d.off+n > len(d.buf) {
-		d.err = fmt.Errorf("obs: snapshot truncated at offset %d (need %d bytes)", d.off, n)
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *snapDecoder) u8() byte {
-	b := d.bytes(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *snapDecoder) u64() uint64 {
-	b := d.bytes(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *snapDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.err = fmt.Errorf("obs: snapshot has bad uvarint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *snapDecoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		d.err = fmt.Errorf("obs: snapshot has bad varint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// length reads a uvarint count and sanity-bounds it against the remaining
-// input (every counted element costs at least one byte).
-func (d *snapDecoder) length(what string) int {
-	v := d.uvarint()
-	if d.err != nil {
-		return 0
-	}
-	if v > uint64(len(d.buf)-d.off) {
-		d.err = fmt.Errorf("obs: snapshot %s count %d exceeds remaining %d bytes", what, v, len(d.buf)-d.off)
-		return 0
-	}
-	return int(v)
 }
 
 // MergeSnapshots aggregates per-process metrics into one machine-labelled

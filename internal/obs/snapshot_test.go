@@ -31,7 +31,11 @@ func sampleSnapshot(process string, pid int, epoch int64) ProcessSnapshot {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	want := sampleSnapshot("worker3", 4, 1_700_000_000_000_000_000)
-	got, err := DecodeSnapshot(want.Encode())
+	data, err := want.Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	got, err := DecodeSnapshot(data)
 	if err != nil {
 		t.Fatalf("DecodeSnapshot: %v", err)
 	}
@@ -63,22 +67,29 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestSnapshotDecodeRejectsCorruption(t *testing.T) {
 	src := sampleSnapshot("w", 1, 12345)
-	good := src.Encode()
+	good, err := src.Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	if _, err := DecodeSnapshot(good); err != nil {
+		t.Fatalf("valid encoding rejected: %v", err)
+	}
+	// edit replaces the one occurrence of old in the valid encoding.
+	edit := func(old, new string) []byte {
+		if n := bytes.Count(good, []byte(old)); n != 1 {
+			t.Fatalf("encoding holds %q %d times, want once:\n%s", old, n, good)
+		}
+		return bytes.Replace(good, []byte(old), []byte(new), 1)
+	}
 	cases := map[string][]byte{
-		"empty":     nil,
-		"bad magic": append([]byte("NOPE"), good[4:]...),
-		"bad version": func() []byte {
-			b := append([]byte(nil), good...)
-			b[4] = 99
-			return b
-		}(),
-		"version 1": func() []byte {
-			b := append([]byte(nil), good...)
-			b[4] = 1
-			return b
-		}(),
-		"truncated": good[:len(good)-5],
-		"trailing":  append(append([]byte(nil), good...), 0xFF),
+		"empty":          nil,
+		"truncated":      good[:len(good)-5],
+		"trailing":       append(append([]byte(nil), good...), 0xFF),
+		"second value":   append(append([]byte(nil), good...), "{}"...),
+		"unknown field":  edit(`{"process"`, `{"extra":1,"process"`),
+		"bad kind":       edit(`"k":"X"`, `"k":"Q"`),
+		"bad attr kind":  edit(`"t":2`, `"t":7`),
+		"too many attrs": edit(`"a":[`, `"a":[`+strings.Repeat(`{"k":"x"},`, maxAttrs)),
 	}
 	for name, data := range cases {
 		if _, err := DecodeSnapshot(data); err == nil {

@@ -54,7 +54,9 @@ type ClusterOptions struct {
 // pair (version 1 was the pre-trace protocol, which had no version frame).
 // Version 3 made framePhase run a whole superstep: one empty phase frame and
 // one phase-done reply per superstep instead of one pair per phase.
-const clusterProtocolVersion = 3
+// Version 4 made the frameTelemetry payload JSON (obs.ProcessSnapshot.Encode)
+// instead of a binary snapshot.
+const clusterProtocolVersion = 4
 
 // RunCluster executes prog over g and a with one OS process per machine —
 // the engine's machines separated by real process and socket boundaries.
@@ -668,7 +670,11 @@ func runWorker(env string) error {
 			// the coordinator has every output byte before any telemetry.
 			if collect {
 				snap := obs.CaptureSnapshot(fmt.Sprintf("worker%d", id), id+1)
-				if err := link.writeFrame(frameTelemetry, snap.Encode()); err != nil {
+				payload, err := snap.Encode()
+				if err != nil {
+					return fmt.Errorf("telemetry upload: %w", err)
+				}
+				if err := link.writeFrame(frameTelemetry, payload); err != nil {
 					return fmt.Errorf("telemetry upload: %w", err)
 				}
 			}

@@ -40,9 +40,9 @@ type ClusterTelemetry struct {
 	Workers []obs.ProcessSnapshot
 }
 
-// Snapshots returns the coordinator's current snapshot (lane 0) followed by
+// snapshots returns the coordinator's current snapshot (lane 0) followed by
 // the worker snapshots.
-func (ct *ClusterTelemetry) Snapshots() []obs.ProcessSnapshot {
+func (ct *ClusterTelemetry) snapshots() []obs.ProcessSnapshot {
 	snaps := make([]obs.ProcessSnapshot, 0, len(ct.Workers)+1)
 	snaps = append(snaps, obs.CaptureSnapshot("coordinator", 0))
 	return append(snaps, ct.Workers...)
@@ -66,5 +66,5 @@ func (ct *ClusterTelemetry) MergedMetrics() obs.MetricsSnapshot {
 // worker), span parentage preserved within each lane, and a barrier-skew
 // instant per superstep.
 func (ct *ClusterTelemetry) WriteChromeTrace(w io.Writer) error {
-	return obs.WriteMergedChromeTrace(w, ct.Snapshots(), ct.BarrierSkew())
+	return obs.WriteMergedChromeTrace(w, ct.snapshots(), ct.BarrierSkew())
 }

@@ -21,10 +21,12 @@ const (
 	// length prefix and the 1-byte kind.
 	FrameHeaderSize = 5
 	// MaxFrameSize bounds the length field a reader accepts. The largest
-	// legitimate frame is a GatherFlush for a maximum-degree vertex
-	// (12 bytes per neighbour); 16 MiB covers ~1.4M neighbours, far above
-	// any dataset here, while keeping a corrupt length prefix from
-	// provoking a giant allocation.
+	// legitimate frames are a GatherFlush for a maximum-degree vertex
+	// (12 bytes per neighbour; 16 MiB covers ~1.4M neighbours, far above
+	// any dataset here) and a worker's telemetry upload (a full trace ring
+	// of the widest records is ~8 MiB; TestFullTraceRingFitsOneFrame), while
+	// the bound keeps a corrupt length prefix from provoking a giant
+	// allocation.
 	MaxFrameSize = 16 << 20
 )
 
@@ -62,9 +64,10 @@ const (
 	// each worker right after its hello: protocol version, trace id, and
 	// whether the worker should ship telemetry back at drain.
 	frameTrace byte = 0x2A
-	// frameTelemetry carries a worker's encoded obs.ProcessSnapshot back to
-	// the coordinator after its result frame (only when trace context
-	// requested collection). Pure control plane: never counted as traffic.
+	// frameTelemetry carries a worker's obs.ProcessSnapshot, encoded as
+	// JSON, back to the coordinator after its result frame (only when trace
+	// context requested collection). Pure control plane: never counted as
+	// traffic.
 	frameTelemetry byte = 0x2B
 )
 

@@ -13,6 +13,7 @@ import (
 
 	"github.com/graphpart/graphpart/internal/engine"
 	"github.com/graphpart/graphpart/internal/graph"
+	"github.com/graphpart/graphpart/internal/obs"
 	"github.com/graphpart/graphpart/internal/partition"
 )
 
@@ -140,5 +141,48 @@ func TestReadSpecRejectsMalformed(t *testing.T) {
 				t.Fatal("readSpec accepted a malformed spec")
 			}
 		})
+	}
+}
+
+// TestFullTraceRingFitsOneFrame bounds the telemetry upload: a worker whose
+// trace ring is full, every record carrying as many attributes as a record
+// holds and each attribute a 20-digit payload, still ships its snapshot in
+// one frame below MaxFrameSize, and the coordinator reads it back whole.
+func TestFullTraceRingFitsOneFrame(t *testing.T) {
+	rec := obs.Record{Name: "wire.worker.superstep", Kind: 'X', Track: math.MaxInt32,
+		Start: math.MaxInt64, Dur: math.MaxInt64}
+	for i := range rec.Attrs {
+		rec.Attrs[i] = obs.Int64(fmt.Sprintf("active_masters_%d", i), -1) // 2^64-1 as bits
+	}
+	rec.NAttrs = uint8(len(rec.Attrs))
+	ps := obs.ProcessSnapshot{Process: "worker1023", PID: 1024,
+		EpochUnixNano: math.MaxInt64, Dropped: math.MaxInt64,
+		Records: make([]obs.Record, obs.DefaultTraceCapacity),
+		Metrics: obs.Default.Snapshot()}
+	for i := range ps.Records {
+		ps.Records[i] = rec
+	}
+	payload, err := ps.Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	t.Logf("full ring of %d records: %d bytes (%.1f MiB)", len(ps.Records), len(payload), float64(len(payload))/(1<<20))
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, frameTelemetry, payload); err != nil {
+		t.Fatalf("writeFrame: %v", err)
+	}
+	kind, got, err := NewReader(&buf).ReadFrame()
+	if err != nil {
+		t.Fatalf("full-ring telemetry frame (%d-byte payload) unreadable: %v", len(payload), err)
+	}
+	if kind != frameTelemetry {
+		t.Fatalf("read frame kind %#02x, want %#02x", kind, frameTelemetry)
+	}
+	back, err := obs.DecodeSnapshot(got)
+	if err != nil {
+		t.Fatalf("DecodeSnapshot: %v", err)
+	}
+	if len(back.Records) != obs.DefaultTraceCapacity || back.Records[0] != rec {
+		t.Fatalf("decoded %d records, first %+v", len(back.Records), back.Records[0])
 	}
 }

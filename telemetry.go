@@ -80,9 +80,6 @@ func SummarizeTrace() []SpanSummary {
 // (load it at chrome://tracing or https://ui.perfetto.dev).
 func WriteChromeTrace(w io.Writer) error { return obs.WriteChromeTrace(w) }
 
-// WriteTraceJSONL writes the recorded trace as one JSON event per line.
-func WriteTraceJSONL(w io.Writer) error { return obs.WriteTraceJSONL(w) }
-
 // WriteMetricsJSON writes a snapshot of every metric as indented JSON.
 func WriteMetricsJSON(w io.Writer) error { return obs.Default.WriteJSON(w) }
 
@@ -97,22 +94,3 @@ type MetricsSnapshot = obs.MetricsSnapshot
 // SkewInstant is one per-superstep barrier-skew measurement across the
 // machines of a cluster run.
 type SkewInstant = obs.SkewInstant
-
-// CaptureTelemetrySnapshot copies this process's current trace and metrics
-// into a ProcessSnapshot labelled process/pid (pid is a trace lane id).
-func CaptureTelemetrySnapshot(process string, pid int) ProcessSnapshot {
-	return obs.CaptureSnapshot(process, pid)
-}
-
-// MergeTelemetrySnapshots aggregates per-process metric snapshots into one
-// machine-labelled view: "<process>/<name>" entries per process plus
-// cross-process aggregates under the plain name.
-func MergeTelemetrySnapshots(snaps []ProcessSnapshot) MetricsSnapshot {
-	return obs.MergeSnapshots(snaps)
-}
-
-// WriteMergedChromeTrace writes multiple process snapshots as one Chrome
-// trace with a named lane per process and the given barrier-skew instants.
-func WriteMergedChromeTrace(w io.Writer, snaps []ProcessSnapshot, skews []SkewInstant) error {
-	return obs.WriteMergedChromeTrace(w, snaps, skews)
-}
