@@ -19,11 +19,12 @@
 //
 // With -stream the graph is never materialised as a CSR: the input becomes
 // an EdgeSource (file-backed for -input, generator-backed for -dataset), the
-// algorithm must implement StreamPartitioner (tlpsw and the streaming
-// baselines random, dbh, greedy, hdrf, ldg, fennel), quality metrics are
-// computed by a second streaming pass, and the report includes the live-heap
-// growth measured around the run. -window bounds the resident window for
-// tlpsw; -dense interns sparse vertex ids in file inputs.
+// algorithm must implement StreamPartitioner (tlpsw and the edge
+// streamers random, dbh, greedy, hdrf; the vertex streamers ldg and fennel
+// need the whole graph), quality metrics are computed by a second streaming
+// pass, and the report includes the live-heap growth measured around the
+// run. -window bounds the resident window for tlpsw; -dense interns sparse
+// vertex ids in file inputs.
 package main
 
 import (
@@ -76,7 +77,7 @@ func run() error {
 		stats    = flag.Bool("stats", false, "print TLP stage statistics (tlp/tlpr only)")
 		doRef    = flag.Bool("refine", false, "run the replica-consolidation refinement pass after partitioning")
 		report   = flag.String("report", "", "write a detailed per-partition report: 'text' or 'json'")
-		stream   = flag.Bool("stream", false, "out-of-core mode: partition from an EdgeSource without building a CSR (streaming algorithms and tlpsw only)")
+		stream   = flag.Bool("stream", false, "out-of-core mode: partition from an EdgeSource without building a CSR (random, dbh, greedy, hdrf and tlpsw only)")
 		winSize  = flag.Int("window", 0, "with -stream -algo tlpsw: bound on resident unassigned edges (0 = default)")
 		dense    = flag.Bool("dense", false, "with -stream -input: intern sparse vertex ids instead of assuming 0..maxID")
 		runProg  = flag.String("run", "", "execute a vertex program on the partitioning: 'pagerank' or 'cc'")

@@ -85,7 +85,7 @@ func TestRunStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, algo := range []string{"hdrf", "random", "ldg", "tlpsw"} {
+	for _, algo := range []string{"hdrf", "random", "dbh", "tlpsw"} {
 		var out bytes.Buffer
 		if err := runStream(&out, path, "", algo, 3, 7, 8, false); err != nil {
 			t.Fatalf("%s: %v", algo, err)
@@ -110,10 +110,13 @@ func TestRunStream(t *testing.T) {
 		t.Fatalf("dataset stream output incomplete:\n%s", out.String())
 	}
 
-	// Error paths: offline algorithms, unknown algorithms, bad inputs.
-	if err := runStream(io.Discard, path, "", "metis", 2, 7, 0, false); err == nil ||
-		!strings.Contains(err.Error(), "-stream") {
-		t.Fatalf("metis with -stream: %v", err)
+	// Error paths: offline algorithms and the vertex streamers, unknown
+	// algorithms, bad inputs.
+	for _, algo := range []string{"metis", "ldg", "fennel"} {
+		if err := runStream(io.Discard, path, "", algo, 2, 7, 0, false); err == nil ||
+			!strings.Contains(err.Error(), "needs the whole graph in memory") {
+			t.Fatalf("%s with -stream: %v", algo, err)
+		}
 	}
 	if err := runStream(io.Discard, path, "", "nope", 2, 7, 0, false); err == nil {
 		t.Fatal("unknown algorithm accepted")

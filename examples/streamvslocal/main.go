@@ -34,7 +34,7 @@ func main() {
 	}{
 		{"TLP (local)", graphpart.NewTLP(graphpart.TLPOptions{Seed: 11})},
 		{"METIS (offline)", graphpart.NewMETIS(graphpart.METISConfig{Seed: 11})},
-		{"LDG (streaming)", graphpart.NewLDG(11, graphpart.OrderShuffled)},
+		{"LDG (streaming)", graphpart.NewLDG(11)},
 		{"DBH (streaming)", graphpart.NewDBH(11)},
 	}
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)

@@ -59,9 +59,6 @@ type GraphStats = graph.Stats
 // NewBuilder returns a builder for a graph with a fixed vertex count.
 func NewBuilder(numVertices int) *Builder { return graph.NewBuilder(numVertices) }
 
-// NewGrowingBuilder returns a builder whose vertex count grows with input.
-func NewGrowingBuilder() *Builder { return graph.NewGrowingBuilder() }
-
 // FromEdges builds a graph from an edge list, rejecting self-loops and
 // duplicates.
 func FromEdges(numVertices int, edges []Edge) (*Graph, error) {
@@ -178,21 +175,6 @@ func NewComponents() Program { return &engine.Components{} }
 // machines; it is the seam where a network transport lands.
 type Transport = engine.Transport
 
-// MemTransport is the in-process Transport implementation.
-type MemTransport = engine.MemTransport
-
-// NewMemTransport returns an in-process transport for p machines.
-func NewMemTransport(p int) *MemTransport { return engine.NewMemTransport(p) }
-
-// TCPTransport is the Transport implementation that moves engine messages
-// over real TCP sockets using the deterministic wire codec. Runs over it
-// are bit-identical to MemTransport and RunSequential.
-type TCPTransport = wire.TCPTransport
-
-// NewTCPTransport builds a loopback TCP mesh hosting all p machines in this
-// process. The caller must Close it after the run.
-func NewTCPTransport(p int) (*TCPTransport, error) { return wire.NewTCPTransport(p) }
-
 // RunCluster executes a vertex program with one OS process per machine,
 // communicating over TCP. The returned values and stats are bit-identical
 // to RunSequential and to an in-process engine run. The current binary must
@@ -245,18 +227,6 @@ type RefineStats = refine.Stats
 // goroutine.
 func Refine(g *Graph, a *Assignment, opts RefineOptions) (RefineStats, error) {
 	return refine.Run(g, a, opts)
-}
-
-// PartitionState is the mutable incremental view over a complete assignment
-// (per-vertex replica sets, boundary-edge index, O(1) RF deltas) that the
-// refiner searches over; exported for callers building their own local
-// optimisation or incremental maintenance on top.
-type PartitionState = partition.State
-
-// NewPartitionState builds the incremental view of a complete assignment in
-// O(n + m).
-func NewPartitionState(g *Graph, a *Assignment) (*PartitionState, error) {
-	return partition.NewState(g, a)
 }
 
 // Report is the detailed per-partition quality breakdown.

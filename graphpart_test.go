@@ -242,8 +242,8 @@ func TestPublicAPIStreaming(t *testing.T) {
 
 	// Graph-backed source through a streaming edge partitioner must match
 	// the legacy Partition path byte for byte.
-	var sp graphpart.StreamPartitioner = graphpart.NewHDRF(3, graphpart.OrderShuffled, 0).(graphpart.StreamPartitioner)
-	legacy, err := graphpart.NewHDRF(3, graphpart.OrderShuffled, 0).Partition(g, 2)
+	var sp graphpart.StreamPartitioner = graphpart.NewHDRF(3, graphpart.OrderShuffled).(graphpart.StreamPartitioner)
+	legacy, err := graphpart.NewHDRF(3, graphpart.OrderShuffled).Partition(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

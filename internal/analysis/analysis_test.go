@@ -111,7 +111,7 @@ func TestCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod := loader.ModulePath()
+	mod := loader.modulePath
 	cases := []struct {
 		name string
 		dir  string
@@ -165,7 +165,7 @@ func TestCorpus(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", tc.dir)
-			pkg, err := loader.CheckDir(dir, strings.ReplaceAll(tc.asPath, "<mod>", mod))
+			pkg, err := loader.checkDir(dir, strings.ReplaceAll(tc.asPath, "<mod>", mod))
 			if err != nil {
 				t.Fatalf("loading %s: %v", dir, err)
 			}
@@ -212,7 +212,7 @@ func TestCorpusModule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod := loader.ModulePath()
+	mod := loader.modulePath
 	cases := []struct {
 		name   string
 		dir    string
@@ -232,7 +232,7 @@ func TestCorpusModule(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", tc.dir)
-			pkg, err := loader.CheckDir(dir, strings.ReplaceAll(tc.asPath, "<mod>", mod))
+			pkg, err := loader.checkDir(dir, strings.ReplaceAll(tc.asPath, "<mod>", mod))
 			if err != nil {
 				t.Fatalf("loading %s: %v", dir, err)
 			}

@@ -78,9 +78,6 @@ func NewLoader(moduleRoot string) (*Loader, error) {
 	}, nil
 }
 
-// ModulePath returns the module path from go.mod.
-func (l *Loader) ModulePath() string { return l.modulePath }
-
 // SetTags marks the given build tags as satisfied, so files gated on them
 // (e.g. //go:build graphpart_invariants) load instead of their default
 // twins. Must be called before any package is loaded — tags select which
@@ -215,14 +212,10 @@ func (l *Loader) ensure(path string) (*Package, error) {
 	return pkg, nil
 }
 
-// CheckDir parses and type-checks the non-test files of dir as though the
-// package lived at import path asPath. It exists for the snippet corpus
-// under testdata/, whose rule behaviour depends on the package's location
-// in the module; the result is not cached and not importable.
-func (l *Loader) CheckDir(dir, asPath string) (*Package, error) {
-	return l.checkDir(dir, asPath)
-}
-
+// checkDir parses and type-checks the non-test files of dir as the package
+// at import path path, without caching the result. The snippet corpus
+// under testdata/ calls it with a made-up path, because its rule behaviour
+// depends on the package's location in the module.
 func (l *Loader) checkDir(dir, path string) (*Package, error) {
 	l.checking[path] = true
 	defer delete(l.checking, path)

@@ -189,8 +189,7 @@ func SaveEdgeListFile(path string, g *Graph) (err error) {
 // IDMap records the mapping between original (external) vertex ids and the
 // dense internal ids assigned during parsing.
 type IDMap struct {
-	dense    map[int64]Vertex
-	original []int64
+	dense map[int64]Vertex
 }
 
 // NewIDMap returns an empty mapping; ids are assigned densely in intern
@@ -208,31 +207,16 @@ func (m *IDMap) intern(orig int64) Vertex {
 	if d, ok := m.dense[orig]; ok {
 		return d
 	}
-	d := Vertex(len(m.original))
+	d := Vertex(len(m.dense))
 	m.dense[orig] = d
-	m.original = append(m.original, orig)
 	return d
 }
 
 // Len returns the number of distinct original ids seen.
-func (m *IDMap) Len() int { return len(m.original) }
+func (m *IDMap) Len() int { return len(m.dense) }
 
 // Dense returns the dense id for an original id.
 func (m *IDMap) Dense(orig int64) (Vertex, bool) {
 	d, ok := m.dense[orig]
 	return d, ok
-}
-
-// Original returns the original id for a dense id.
-func (m *IDMap) Original(d Vertex) int64 { return m.original[d] }
-
-// Identity returns an IDMap mapping i -> i for n vertices; used when graphs
-// are generated rather than parsed.
-func Identity(n int) *IDMap {
-	m := &IDMap{dense: make(map[int64]Vertex, n), original: make([]int64, n)}
-	for i := 0; i < n; i++ {
-		m.dense[int64(i)] = Vertex(i)
-		m.original[i] = int64(i)
-	}
-	return m
 }

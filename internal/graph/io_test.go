@@ -36,12 +36,10 @@ func TestReadEdgeListRemapsSparseIDs(t *testing.T) {
 	if g.NumVertices() != 3 {
 		t.Fatalf("sparse ids not remapped: %d vertices", g.NumVertices())
 	}
-	d, ok := idm.Dense(1000000)
-	if !ok {
-		t.Fatal("lost original id 1000000")
-	}
-	if idm.Original(d) != 1000000 {
-		t.Fatal("round-trip through IDMap failed")
+	for want, orig := range []int64{1000000, 2000000, 3000000} {
+		if d, ok := idm.Dense(orig); !ok || d != Vertex(want) {
+			t.Fatalf("original id %d mapped to %d, %v; want dense %d in first-appearance order", orig, d, ok, want)
+		}
 	}
 	if _, ok := idm.Dense(42); ok {
 		t.Fatal("IDMap invented an id")
@@ -110,19 +108,6 @@ func TestFileRoundTrip(t *testing.T) {
 func TestLoadMissingFile(t *testing.T) {
 	if _, _, err := LoadEdgeListFile(filepath.Join(t.TempDir(), "nope.txt")); err == nil {
 		t.Fatal("loading missing file succeeded")
-	}
-}
-
-func TestIdentityIDMap(t *testing.T) {
-	m := Identity(4)
-	if m.Len() != 4 {
-		t.Fatalf("Identity(4).Len() = %d", m.Len())
-	}
-	for i := 0; i < 4; i++ {
-		d, ok := m.Dense(int64(i))
-		if !ok || d != Vertex(i) || m.Original(d) != int64(i) {
-			t.Fatalf("identity map broken at %d", i)
-		}
 	}
 }
 

@@ -39,10 +39,10 @@ var roster = []family{
 	// Flat KL is quadratic without coarsening (the reason multilevel
 	// exists); bound it to graphs it can handle.
 	{"KL(flat)", 150000, func(seed uint64) partition.Partitioner { return metis.NewFlatKL(metis.Config{Seed: seed}) }},
-	{"HDRF", 0, func(seed uint64) partition.Partitioner { return streaming.NewHDRF(seed, streaming.OrderShuffled, 0) }},
+	{"HDRF", 0, func(seed uint64) partition.Partitioner { return streaming.NewHDRF(seed, streaming.OrderShuffled) }},
 	{"Greedy", 0, func(seed uint64) partition.Partitioner { return streaming.NewGreedy(seed, streaming.OrderShuffled) }},
-	{"LDG", 0, func(seed uint64) partition.Partitioner { return streaming.NewLDG(seed, streaming.OrderShuffled) }},
-	{"FENNEL", 0, func(seed uint64) partition.Partitioner { return streaming.NewFENNEL(seed, streaming.OrderShuffled, 0) }},
+	{"LDG", 0, func(seed uint64) partition.Partitioner { return streaming.NewLDG(seed) }},
+	{"FENNEL", 0, func(seed uint64) partition.Partitioner { return streaming.NewFENNEL(seed) }},
 	{"DBH", 0, func(seed uint64) partition.Partitioner { return streaming.NewDBH(seed) }},
 	{"Random", 0, func(seed uint64) partition.Partitioner { return streaming.NewRandom(seed) }},
 }

@@ -130,9 +130,6 @@ func (s *State) P() int { return s.p }
 // Replicas returns the number of partitions vertex v currently appears in.
 func (s *State) Replicas(v graph.Vertex) int { return int(s.replicas[v]) }
 
-// Has reports whether vertex v has at least one edge in partition k.
-func (s *State) Has(v graph.Vertex, k int) bool { return s.Count(v, k) > 0 }
-
 // Count returns the number of v's edges currently in partition k.
 func (s *State) Count(v graph.Vertex, k int) int {
 	if s.counts != nil {

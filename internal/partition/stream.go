@@ -59,13 +59,3 @@ func StreamMetrics(src source.EdgeSource, a *Assignment) (Metrics, error) {
 	}
 	return pr.metrics(a, src.NumEdges(), func(v int) int64 { return deg[v] }), nil
 }
-
-// StreamReplicationFactor computes only RF from a stream; cheaper than
-// StreamMetrics when the other metrics are not needed.
-func StreamReplicationFactor(src source.EdgeSource, a *Assignment) (float64, error) {
-	m, err := StreamMetrics(src, a)
-	if err != nil {
-		return 0, err
-	}
-	return m.ReplicationFactor, nil
-}

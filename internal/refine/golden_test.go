@@ -93,7 +93,7 @@ func refineGoldenInput(t *testing.T, g *graph.Graph, c refineGoldenCase) *partit
 	case "random":
 		pt = streaming.NewRandom(42)
 	case "hdrf":
-		pt = streaming.NewHDRF(42, streaming.OrderShuffled, 0)
+		pt = streaming.NewHDRF(42, streaming.OrderShuffled)
 	default:
 		t.Fatalf("unknown family %q", c.family)
 	}

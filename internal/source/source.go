@@ -80,7 +80,7 @@ func EdgeOrder(g *graph.Graph, ord Order, seed uint64) []graph.EdgeID {
 		ids = ids[:0]
 		r := rng.New(seed)
 		seen := make([]bool, m)
-		order := VertexBFSOrder(g, r)
+		order := vertexBFSOrder(g, r)
 		for _, v := range order {
 			for _, eid := range g.IncidentEdges(v) {
 				if !seen[eid] {
@@ -96,9 +96,9 @@ func EdgeOrder(g *graph.Graph, ord Order, seed uint64) []graph.EdgeID {
 	return ids
 }
 
-// VertexBFSOrder returns all vertices in BFS order from seeded random
+// vertexBFSOrder returns all vertices in BFS order from seeded random
 // roots, component by component.
-func VertexBFSOrder(g *graph.Graph, r *rng.RNG) []graph.Vertex {
+func vertexBFSOrder(g *graph.Graph, r *rng.RNG) []graph.Vertex {
 	n := g.NumVertices()
 	seen := make([]bool, n)
 	order := make([]graph.Vertex, 0, n)
@@ -144,11 +144,6 @@ func FromGraph(g *graph.Graph, ord Order, seed uint64) *GraphSource {
 	}
 	return &GraphSource{g: g, ids: EdgeOrder(g, ord, seed)}
 }
-
-// Graph exposes the wrapped graph. Stream partitioners use it to detect the
-// in-memory case and keep their legacy byte-identical fast path; anything
-// taking an EdgeSource must not require it.
-func (s *GraphSource) Graph() *graph.Graph { return s.g }
 
 // NumVertices implements EdgeSource.
 func (s *GraphSource) NumVertices() int { return s.g.NumVertices() }

@@ -135,14 +135,16 @@ func TestFileSourceMatchesLoadEdgeList(t *testing.T) {
 	if len(edges) != 4 {
 		t.Fatalf("streamed %d edges, want 4", len(edges))
 	}
-	// Interning is first-appearance order in both paths, so dense ids agree.
 	for i, e := range edges {
 		if e.ID != graph.EdgeID(i) {
 			t.Fatalf("edge %d has ID %d, want sequential", i, e.ID)
 		}
-		ou := src.IDMap().Original(e.U)
-		if du, ok := idm.Dense(ou); !ok || du != e.U {
-			t.Fatalf("edge %d endpoint %d interned differently from CSR loader", i, e.U)
+	}
+	// Interning is first-appearance order in both paths, so dense ids agree.
+	for _, orig := range []int64{100, 200, 300, 7} {
+		want, _ := idm.Dense(orig)
+		if got, ok := src.IDMap().Dense(orig); !ok || got != want {
+			t.Fatalf("original id %d interned as %d, CSR loader gave %d", orig, got, want)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"github.com/graphpart/graphpart/internal/graph"
 	"github.com/graphpart/graphpart/internal/metis"
 	"github.com/graphpart/graphpart/internal/partition"
-	"github.com/graphpart/graphpart/internal/source"
 )
 
 // deriveHash folds an assignment's per-edge partition ids (little-endian
@@ -31,39 +30,34 @@ func deriveHash(a *partition.Assignment) uint64 {
 
 // deriveGoldenCase pins the edge placement that the lighter-endpoint
 // derivation gives each vertex-partition baseline on one (dataset, p).
-// graph holds the Partition results of METIS, KL, LDG and FENNEL; stream
-// holds LDG's and FENNEL's PartitionStream results over a replay of the
-// seed-42 shuffled edge order that is not graph-backed.
+// graph holds the Partition results of METIS, KL, LDG and FENNEL.
 type deriveGoldenCase struct {
 	dataset string
 	p       int
 	graph   [4]uint64
-	stream  [2]uint64
 }
 
 // deriveGoldenCases are the oracle (graph seed 42, partitioner seed 42). A
 // change that alters a hash changes a baseline's output and must say so,
 // not regenerate the table.
 var deriveGoldenCases = []deriveGoldenCase{
-	{"G1s", 4, [4]uint64{0x5e33d01da0d33334, 0x0cb70b3457744056, 0xb95ee7d26afa4b04, 0x4e88351af4212ee5}, [2]uint64{0x5e8e1c2f3d0908a7, 0x71e9ccbe3baa2324}},
-	{"G1s", 10, [4]uint64{0x02036ccacfe6b0e2, 0x136a3985885be67c, 0x5736d568304ef7c0, 0xb3285b6aa6f1957e}, [2]uint64{0x5770126f8475b219, 0x4868215d756489fa}},
-	{"G2s", 4, [4]uint64{0x2e4687cce9502494, 0x715e33ee1985ec95, 0xecdba1a49394f084, 0x9658a0a152d91d45}, [2]uint64{0xd55f23ebc6efc0f4, 0xae8b3e682babdd24}},
-	{"G2s", 10, [4]uint64{0x9ddee9d22ebb8e9f, 0x69ae1d478f98c317, 0x220e737efc62d404, 0x4aebf15428800e3c}, [2]uint64{0x46fb9f27183dc24e, 0xcc72dd63df9b9c87}},
-	{"G3s", 4, [4]uint64{0x85e4a40edfb44a14, 0x72b44ac5f41d25d7, 0x0f568a73d921fe77, 0x2608eb4918f66207}, [2]uint64{0x195cc518471c6be7, 0x195cc518471c6be7}},
-	{"G3s", 10, [4]uint64{0xb718d7f87800305f, 0x302207b1f1f205e5, 0xa375198746e0c9d3, 0xe3006a96d846b578}, [2]uint64{0x9c8b2cb4f71a97bc, 0xb8908806f0f0849b}},
+	{"G1s", 4, [4]uint64{0x5e33d01da0d33334, 0x0cb70b3457744056, 0xb95ee7d26afa4b04, 0x4e88351af4212ee5}},
+	{"G1s", 10, [4]uint64{0x02036ccacfe6b0e2, 0x136a3985885be67c, 0x5736d568304ef7c0, 0xb3285b6aa6f1957e}},
+	{"G2s", 4, [4]uint64{0x2e4687cce9502494, 0x715e33ee1985ec95, 0xecdba1a49394f084, 0x9658a0a152d91d45}},
+	{"G2s", 10, [4]uint64{0x9ddee9d22ebb8e9f, 0x69ae1d478f98c317, 0x220e737efc62d404, 0x4aebf15428800e3c}},
+	{"G3s", 4, [4]uint64{0x85e4a40edfb44a14, 0x72b44ac5f41d25d7, 0x0f568a73d921fe77, 0x2608eb4918f66207}},
+	{"G3s", 10, [4]uint64{0xb718d7f87800305f, 0x302207b1f1f205e5, 0xa375198746e0c9d3, 0xe3006a96d846b578}},
 }
 
 // TestDeriveGoldenOracle pins every vertex-partition baseline's derived
-// edge partition on G1s-G3s at p in {4, 10}, on the graph path and, for
-// the streamers, on the pure-stream path.
+// edge partition on G1s-G3s at p in {4, 10}.
 func TestDeriveGoldenOracle(t *testing.T) {
 	graphParts := []partition.Partitioner{
 		metis.New(metis.Config{Seed: 42}),
 		metis.NewFlatKL(metis.Config{Seed: 42}),
-		NewLDG(42, 0),
-		NewFENNEL(42, 0, 0),
+		NewLDG(42),
+		NewFENNEL(42),
 	}
-	streamParts := []partition.StreamPartitioner{NewLDG(42, 0), NewFENNEL(42, 0, 0)}
 	for _, c := range deriveGoldenCases {
 		t.Run(fmt.Sprintf("%s/p%d", c.dataset, c.p), func(t *testing.T) {
 			var g *graph.Graph
@@ -82,16 +76,6 @@ func TestDeriveGoldenOracle(t *testing.T) {
 				}
 				if got := deriveHash(a); got != c.graph[i] {
 					t.Errorf("%s Partition hash %#016x, want oracle %#016x", pt.Name(), got, c.graph[i])
-				}
-			}
-			replay := record(t, source.FromGraph(g, source.OrderShuffled, 42))
-			for i, pt := range streamParts {
-				a, err := pt.PartitionStream(replay, c.p)
-				if err != nil {
-					t.Fatalf("%s: %v", pt.Name(), err)
-				}
-				if got := deriveHash(a); got != c.stream[i] {
-					t.Errorf("%s PartitionStream hash %#016x, want oracle %#016x", pt.Name(), got, c.stream[i])
 				}
 			}
 		})

@@ -5,12 +5,12 @@
 // Edge streamers (Random, DBH, Greedy, HDRF) place each edge as it arrives
 // and never move it; they consume an arbitrary source.EdgeSource in
 // O(p + vertex-state) memory, so file-backed and generator-backed streams
-// partition without a CSR. Vertex streamers (LDG, FENNEL) place vertices
-// and derive the edge placement the same way as for the METIS baseline; on
-// a graph-backed source they use the exact legacy path, elsewhere a
-// documented two-pass degree-sketch variant. All algorithms are
-// deterministic for a fixed seed; the stream order of a graph-backed run is
-// a seeded shuffle of the edge list unless configured otherwise.
+// partition without a CSR. Vertex streamers (LDG, FENNEL) place vertices in
+// a seeded random order, reading each vertex's adjacency from the CSR, and
+// derive the edge placement the same way as for the METIS baseline; they
+// need the whole graph in memory. All algorithms are deterministic for a
+// fixed seed; the stream order of a graph-backed run is a seeded shuffle of
+// the edge list unless configured otherwise.
 package streaming
 
 import (
@@ -335,27 +335,26 @@ func greedyChoose(a *partition.Assignment, rs *replicaSets, e source.Edge, p int
 // HDRF is the High-Degree Replicated First streamer (Petroni et al., CIKM
 // 2015): like Greedy but the replica-affinity score discounts the
 // high-degree endpoint, plus an explicit load-balance term weighted by
-// Lambda.
+// hdrfLambda.
 type HDRF struct {
-	seed   uint64
-	order  Order
-	lambda float64
+	seed  uint64
+	order Order
 }
+
+// hdrfLambda weights HDRF's balance term; 1.0 is the paper's default.
+const hdrfLambda = 1.0
 
 var (
 	_ partition.Partitioner       = (*HDRF)(nil)
 	_ partition.StreamPartitioner = (*HDRF)(nil)
 )
 
-// NewHDRF returns an HDRF streamer; lambda <= 0 defaults to 1.0.
-func NewHDRF(seed uint64, order Order, lambda float64) *HDRF {
+// NewHDRF returns an HDRF streamer.
+func NewHDRF(seed uint64, order Order) *HDRF {
 	if order == 0 {
 		order = OrderShuffled
 	}
-	if lambda <= 0 {
-		lambda = 1.0
-	}
-	return &HDRF{seed: seed, order: order, lambda: lambda}
+	return &HDRF{seed: seed, order: order}
 }
 
 // Name implements partition.Partitioner.
@@ -424,7 +423,7 @@ func (x *HDRF) choose(a *partition.Assignment, rs *replicaSets, e source.Edge, p
 		if denom < 1 {
 			denom = 1
 		}
-		cbal := x.lambda * float64(maxLoad-a.Load(k)) / denom
+		cbal := hdrfLambda * float64(maxLoad-a.Load(k)) / denom
 		if score := crep + cbal; score > bestScore {
 			best, bestScore = k, score
 		}

@@ -92,8 +92,8 @@ func TestEdgeStreamOrders(t *testing.T) {
 }
 
 // TestStreamPathMatchesGraphPath asserts byte-identical assignments between
-// the legacy graph path and PartitionStream — both over the graph-backed
-// source and over a pure stream replay of the same sequence.
+// the edge streamers' graph path and PartitionStream — both over the
+// graph-backed source and over a pure stream replay of the same sequence.
 func TestStreamPathMatchesGraphPath(t *testing.T) {
 	g := randomGraph(21, 120, 600)
 	const p = 5
@@ -109,9 +109,7 @@ func TestStreamPathMatchesGraphPath(t *testing.T) {
 		{"DBH", NewDBH(3), OrderNatural},
 		{"Greedy-shuffled", NewGreedy(3, OrderShuffled), OrderShuffled},
 		{"Greedy-bfs", NewGreedy(3, OrderBFS), OrderBFS},
-		{"HDRF", NewHDRF(3, OrderShuffled, 0), OrderShuffled},
-		{"LDG", NewLDG(3, OrderShuffled), OrderShuffled},
-		{"FENNEL", NewFENNEL(3, OrderShuffled, 0), OrderShuffled},
+		{"HDRF", NewHDRF(3, OrderShuffled), OrderShuffled},
 	}
 	for _, tc := range cases {
 		legacy, err := tc.part.Partition(g, p)
@@ -124,13 +122,6 @@ func TestStreamPathMatchesGraphPath(t *testing.T) {
 		}
 		sameAssignment(t, tc.name+"/graph-source", legacy, viaGraphSource)
 
-		// Edge streamers must match on a pure (non-graph) stream replay
-		// too; vertex streamers intentionally use a different sketch off
-		// the graph path, so only the edge streamers are asserted here.
-		switch tc.name {
-		case "LDG", "FENNEL":
-			continue
-		}
 		replay := record(t, source.FromGraph(g, tc.ord, 3))
 		viaReplay, err := tc.part.PartitionStream(replay, p)
 		if err != nil {
@@ -159,7 +150,7 @@ func TestFileSourceMatchesGraphPath(t *testing.T) {
 		{"Random", NewRandom(9)},
 		{"DBH", NewDBH(9)},
 		{"Greedy", NewGreedy(9, OrderNatural)},
-		{"HDRF", NewHDRF(9, OrderNatural, 0)},
+		{"HDRF", NewHDRF(9, OrderNatural)},
 	} {
 		src, err := source.OpenFile(path, source.FileConfig{DenseIDs: true})
 		if err != nil {
@@ -176,39 +167,6 @@ func TestFileSourceMatchesGraphPath(t *testing.T) {
 		sameAssignment(t, tc.name+"/file", legacy, streamed)
 		if err := src.Close(); err != nil {
 			t.Fatal(err)
-		}
-	}
-}
-
-// TestVertexStreamSketchIsComplete checks the LDG/FENNEL degree-sketch
-// path (non-graph sources) produces a complete, capacity-sane assignment.
-func TestVertexStreamSketchIsComplete(t *testing.T) {
-	g := randomGraph(17, 150, 700)
-	const p = 6
-	for _, tc := range []struct {
-		name string
-		part partition.StreamPartitioner
-	}{
-		{"LDG", NewLDG(5, OrderNatural)},
-		{"FENNEL", NewFENNEL(5, OrderNatural, 0)},
-	} {
-		src := &sliceSource{n: g.NumVertices()}
-		for id, e := range g.Edges() {
-			src.edges = append(src.edges, source.Edge{ID: graph.EdgeID(id), U: e.U, V: e.V})
-		}
-		a, err := tc.part.PartitionStream(src, p)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if got := a.AssignedCount(); got != g.NumEdges() {
-			t.Fatalf("%s: %d of %d edges assigned", tc.name, got, g.NumEdges())
-		}
-		rf, err := partition.StreamReplicationFactor(src, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rf < 1 || rf > float64(p) {
-			t.Fatalf("%s: implausible replication factor %f", tc.name, rf)
 		}
 	}
 }

@@ -27,9 +27,9 @@ func allPartitioners(seed uint64) []partition.Partitioner {
 		NewRandom(seed),
 		NewDBH(seed),
 		NewGreedy(seed, OrderShuffled),
-		NewHDRF(seed, OrderShuffled, 1.0),
-		NewLDG(seed, OrderShuffled),
-		NewFENNEL(seed, OrderShuffled, 1.5),
+		NewHDRF(seed, OrderShuffled),
+		NewLDG(seed),
+		NewFENNEL(seed),
 	}
 }
 
@@ -61,9 +61,9 @@ func TestAllDeterministic(t *testing.T) {
 		func() partition.Partitioner { return NewRandom(3) },
 		func() partition.Partitioner { return NewDBH(3) },
 		func() partition.Partitioner { return NewGreedy(3, OrderShuffled) },
-		func() partition.Partitioner { return NewHDRF(3, OrderShuffled, 1.0) },
-		func() partition.Partitioner { return NewLDG(3, OrderShuffled) },
-		func() partition.Partitioner { return NewFENNEL(3, OrderShuffled, 1.5) },
+		func() partition.Partitioner { return NewHDRF(3, OrderShuffled) },
+		func() partition.Partitioner { return NewLDG(3) },
+		func() partition.Partitioner { return NewFENNEL(3) },
 	} {
 		a1, err := makePt().Partition(g, 4)
 		if err != nil {
@@ -164,7 +164,7 @@ func TestGreedyClustersEdges(t *testing.T) {
 func TestHDRFBalanceBetterThanGreedy(t *testing.T) {
 	g := gen.ChungLu(gen.ChungLuConfig{Vertices: 2000, TargetEdges: 10000, Exponent: 2.0}, rng.New(9))
 	p := 10
-	ah, err := NewHDRF(10, OrderShuffled, 1.0).Partition(g, p)
+	ah, err := NewHDRF(10, OrderShuffled).Partition(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestHDRFBalanceBetterThanGreedy(t *testing.T) {
 
 func TestLDGVertexBalance(t *testing.T) {
 	g := randomGraph(11, 600, 1800)
-	labels, err := NewLDG(12, OrderShuffled).VertexPartition(g, 6)
+	labels, err := NewLDG(12).VertexPartition(g, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,9 +200,9 @@ func TestLDGVertexBalance(t *testing.T) {
 }
 
 func TestLDGPrefersNeighbours(t *testing.T) {
-	// Two cliques joined by one edge; LDG with natural order should keep
-	// each clique together (first clique fills partition with its
-	// neighbours).
+	// Two cliques joined by one edge; LDG's rule visiting the vertices in
+	// id order should keep each clique together (first clique fills
+	// partition with its neighbours).
 	b := graph.NewBuilder(12)
 	for i := 0; i < 6; i++ {
 		for j := i + 1; j < 6; j++ {
@@ -212,10 +212,11 @@ func TestLDGPrefersNeighbours(t *testing.T) {
 	}
 	_ = b.AddEdge(5, 11)
 	g := b.Build()
-	labels, err := NewLDG(13, OrderNatural).VertexPartition(g, 2)
-	if err != nil {
-		t.Fatal(err)
+	order := make([]graph.Vertex, g.NumVertices())
+	for i := range order {
+		order[i] = graph.Vertex(i)
 	}
+	labels := placeVertices(g, 2, order, ldgChooser(g.NumVertices(), 2))
 	for i := 1; i < 6; i++ {
 		if labels[i] != labels[0] {
 			t.Fatalf("clique 1 split: %v", labels)
@@ -228,7 +229,7 @@ func TestLDGPrefersNeighbours(t *testing.T) {
 
 func TestFENNELVertexPartition(t *testing.T) {
 	g := randomGraph(14, 500, 1500)
-	labels, err := NewFENNEL(15, OrderShuffled, 1.5).VertexPartition(g, 5)
+	labels, err := NewFENNEL(15).VertexPartition(g, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +313,7 @@ func BenchmarkLDG(b *testing.B) {
 	g := gen.ChungLu(gen.ChungLuConfig{Vertices: 10000, TargetEdges: 50000, Exponent: 2.1}, rng.New(20))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewLDG(uint64(i), OrderShuffled).Partition(g, 10); err != nil {
+		if _, err := NewLDG(uint64(i)).Partition(g, 10); err != nil {
 			b.Fatal(err)
 		}
 	}

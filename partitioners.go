@@ -28,16 +28,10 @@ const (
 func NewMETIS(cfg METISConfig) Partitioner { return metis.New(cfg) }
 
 // NewLDG returns the Linear Deterministic Greedy streaming vertex
-// partitioner (Stanton & Kliot, KDD 2012) with derived edge placement.
-func NewLDG(seed uint64, order StreamOrder) Partitioner {
-	return streaming.NewLDG(seed, order)
-}
-
-// NewFENNEL returns the FENNEL streaming vertex partitioner (Tsourakakis et
-// al., WSDM 2014); gamma <= 1 selects the canonical 1.5.
-func NewFENNEL(seed uint64, order StreamOrder, gamma float64) Partitioner {
-	return streaming.NewFENNEL(seed, order, gamma)
-}
+// partitioner (Stanton & Kliot, KDD 2012) with derived edge placement. It
+// reads each vertex's adjacency from the graph, so it needs the whole graph
+// in memory.
+func NewLDG(seed uint64) Partitioner { return streaming.NewLDG(seed) }
 
 // NewDBH returns the degree-based hashing edge partitioner (Xie et al.,
 // NIPS 2014).
@@ -47,16 +41,10 @@ func NewDBH(seed uint64) Partitioner { return streaming.NewDBH(seed) }
 // lower-bound baseline).
 func NewRandom(seed uint64) Partitioner { return streaming.NewRandom(seed) }
 
-// NewGreedy returns the PowerGraph greedy streaming edge partitioner
-// (Gonzalez et al., OSDI 2012).
-func NewGreedy(seed uint64, order StreamOrder) Partitioner {
-	return streaming.NewGreedy(seed, order)
-}
-
 // NewHDRF returns the High-Degree Replicated First streaming edge
-// partitioner (Petroni et al., CIKM 2015); lambda <= 0 selects 1.0.
-func NewHDRF(seed uint64, order StreamOrder, lambda float64) Partitioner {
-	return streaming.NewHDRF(seed, order, lambda)
+// partitioner (Petroni et al., CIKM 2015) with balance weight lambda = 1.
+func NewHDRF(seed uint64, order StreamOrder) Partitioner {
+	return streaming.NewHDRF(seed, order)
 }
 
 // SlidingWindowConfig tunes the sliding-window TLP variant (the paper's
@@ -85,12 +73,12 @@ func AllPartitioners(seed uint64) map[string]Partitioner {
 	return map[string]Partitioner{
 		"tlp":    NewTLP(TLPOptions{Seed: seed}),
 		"metis":  NewMETIS(METISConfig{Seed: seed}),
-		"ldg":    NewLDG(seed, OrderShuffled),
-		"fennel": NewFENNEL(seed, OrderShuffled, 0),
+		"ldg":    NewLDG(seed),
+		"fennel": streaming.NewFENNEL(seed),
 		"dbh":    NewDBH(seed),
 		"random": NewRandom(seed),
-		"greedy": NewGreedy(seed, OrderShuffled),
-		"hdrf":   NewHDRF(seed, OrderShuffled, 0),
+		"greedy": streaming.NewGreedy(seed, OrderShuffled),
+		"hdrf":   NewHDRF(seed, OrderShuffled),
 		"tlpsw":  NewSlidingTLP(SlidingWindowConfig{Seed: seed}),
 		"kl":     NewFlatKL(METISConfig{Seed: seed}),
 	}

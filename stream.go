@@ -1,9 +1,11 @@
 package graphpart
 
 // This file exports the streaming layer: EdgeSource implementations and the
-// StreamPartitioner contract that lets the streaming partitioners (Random,
-// DBH, Greedy, HDRF, LDG, FENNEL and the sliding-window TLP) run without an
-// in-memory CSR. See DESIGN.md ("EdgeSource vs CSR") for the memory model.
+// StreamPartitioner contract that lets the edge streamers (Random, DBH,
+// Greedy, HDRF) and the sliding-window TLP run without an in-memory CSR.
+// The vertex streamers LDG and FENNEL read vertex adjacency from a Graph
+// and do not implement it. See DESIGN.md ("EdgeSource vs CSR") for the
+// memory model.
 
 import (
 	"github.com/graphpart/graphpart/internal/partition"
@@ -64,9 +66,4 @@ func NewDatasetSource(d Dataset, seed uint64) EdgeSource {
 // equals ComputeMetrics on the corresponding graph.
 func StreamMetrics(src EdgeSource, a *Assignment) (Metrics, error) {
 	return partition.StreamMetrics(src, a)
-}
-
-// StreamReplicationFactor computes only RF from an EdgeSource.
-func StreamReplicationFactor(src EdgeSource, a *Assignment) (float64, error) {
-	return partition.StreamReplicationFactor(src, a)
 }

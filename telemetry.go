@@ -32,49 +32,12 @@ func ResetTelemetry() {
 	obs.Default.Reset()
 }
 
-// Span is an in-flight traced operation; its zero value is inert.
-type Span = obs.Span
-
-// Attr is one key/value attribute attached to a span or event.
-type Attr = obs.Attr
-
-// StartSpan opens a root span; close it with End or EndWith.
-func StartSpan(name string, attrs ...Attr) Span { return obs.Start(name, attrs...) }
-
-// IntAttr returns an integer span attribute.
-func IntAttr(key string, v int) Attr { return obs.Int(key, v) }
-
-// Int64Attr returns a 64-bit integer span attribute.
-func Int64Attr(key string, v int64) Attr { return obs.Int64(key, v) }
-
-// FloatAttr returns a float span attribute.
-func FloatAttr(key string, v float64) Attr { return obs.Float(key, v) }
-
-// StringAttr returns a string span attribute.
-func StringAttr(key, v string) Attr { return obs.String(key, v) }
-
 // Stopwatch measures elapsed time through the telemetry clock seam; unlike
 // spans it measures even when telemetry is disabled.
 type Stopwatch = obs.Stopwatch
 
 // StartWatch starts a stopwatch on the telemetry clock.
 func StartWatch() Stopwatch { return obs.StartWatch() }
-
-// TelemetryClock is the injectable time source behind spans and stopwatches.
-type TelemetryClock = obs.Clock
-
-// SetTelemetryClock swaps the time source; nil restores the system clock.
-func SetTelemetryClock(c TelemetryClock) { obs.SetClock(c) }
-
-// SpanSummary aggregates the recorded spans sharing one name.
-type SpanSummary = obs.SpanSummary
-
-// SummarizeTrace groups the recorded trace by span name with count, total
-// and p50/p95 durations, sorted by descending total time.
-func SummarizeTrace() []SpanSummary {
-	recs, _ := obs.TraceRecords()
-	return obs.SummarizeSpans(recs)
-}
 
 // WriteChromeTrace writes the recorded trace in Chrome trace-event JSON
 // (load it at chrome://tracing or https://ui.perfetto.dev).
