@@ -31,6 +31,11 @@ type contractScratch struct {
 // fmScratch is refineFM's working memory.
 type fmScratch struct {
 	gain []int64
+	// g0[v] is v's gain at the start of the current pass and deg[v] its
+	// weighted degree; v is on the boundary iff g0[v]+deg[v] > 0. Pass 0
+	// sweeps them, and each later pass replays its predecessor's kept
+	// moves onto g0.
+	g0, deg []int64
 	// pos[v] is v's slot in its side's heap, or posAbsent / posLocked.
 	pos []int32
 	// heaps[s] is side s's gain heap; both are windows of entries.
@@ -44,6 +49,7 @@ type fmScratch struct {
 // not regrow them level by level; refineFM reserves its own level.
 func (s *fmScratch) reserve(n int) {
 	s.gain, s.pos, s.moveOrder = grow(s.gain, n), grow(s.pos, n), grow(s.moveOrder, n)
+	s.g0, s.deg = grow(s.g0, n), grow(s.deg, n)
 	s.entries = grow(s.entries, n)
 }
 

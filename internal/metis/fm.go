@@ -104,6 +104,11 @@ func (h *gainHeap) popTop(pos []int32) {
 // position, heap and move-order buffers live in s and keep their capacity
 // across calls.
 //
+// Only the first pass sweeps every row for its start gains. Each later pass
+// starts from its predecessor's start gains with the kept moves replayed
+// onto them, which equal a fresh sweep, so it seeds the same heaps and makes
+// the same moves while reading only the kept vertices' rows.
+//
 //graphpart:hotpath test=TestHotPathAllocs_MetisLevel
 func refineFM(w *wgraph, side []uint8, target0 int64, tol float64, maxPasses int, s *fmScratch) {
 	n := w.numVertices()
@@ -112,9 +117,10 @@ func refineFM(w *wgraph, side []uint8, target0 int64, tol float64, maxPasses int
 	}
 	target1 := w.totalVertexWeight() - target0
 	maxW := [2]int64{int64(float64(target0) * tol), int64(float64(target1) * tol)}
-	// Every pass rewrites gain[v] and pos[v] for all v before reading.
+	// Every pass rewrites gain[v] and pos[v] for all v before reading, and
+	// pass 0 writes g0[v] and deg[v].
 	s.reserve(n)
-	gain, pos, heaps, moveOrder := s.gain, s.pos, &s.heaps, s.moveOrder
+	gain, g0, deg, pos, heaps, moveOrder := s.gain, s.g0, s.deg, s.pos, &s.heaps, s.moveOrder
 
 	for pass := 0; pass < maxPasses; pass++ {
 		w0, w1 := sideWeights(w, side)
@@ -126,12 +132,18 @@ func refineFM(w *wgraph, side []uint8, target0 int64, tol float64, maxPasses int
 			n0 += int(1 - sv)
 		}
 		heaps[0], heaps[1] = s.entries[:0:n0], s.entries[n0:n0:n]
+		if pass > 0 && invariants.Enabled {
+			assertStartGains(w, side, g0, deg)
+		}
 		// Seed with boundary vertices only, then heapify each side once.
 		for v := int32(0); int(v) < n; v++ {
-			g, boundary := gainAndBoundary(w, side, v)
+			if pass == 0 {
+				g0[v], deg[v] = gainAndDegree(w, side, v)
+			}
+			g := g0[v]
 			gain[v] = g
 			pos[v] = posAbsent
-			if boundary {
+			if g+deg[v] > 0 {
 				h := &heaps[side[v]]
 				pos[v] = int32(len(*h))
 				*h = (*h)[:len(*h)+1]
@@ -198,8 +210,47 @@ func refineFM(w *wgraph, side []uint8, target0 int64, tol float64, maxPasses int
 		if invariants.Enabled {
 			assertHeaps(heaps, pos, gain, side)
 		}
-		if bestGain <= 0 {
+		if bestGain <= 0 || pass == maxPasses-1 {
 			break
+		}
+		replayKept(w, side, g0, moveOrder[:bestPrefix])
+	}
+}
+
+// replayKept turns g0 from the pass-start gains into the gains of side, the
+// pass-start bisection with kept moved. A pass moves each vertex at most
+// once, so flipping kept back restores the pass-start sides. Redoing the
+// moves in order then applies the move loop's own update to every
+// neighbour: a moved vertex's gain changes sign, and each neighbour's moves
+// by twice the arc weight.
+func replayKept(w *wgraph, side []uint8, g0 []int64, kept []int32) {
+	for _, v := range kept {
+		side[v] ^= 1
+	}
+	for _, v := range kept {
+		side[v] ^= 1
+		g0[v] = -g0[v]
+		nbrs, wts := w.neighbors(v)
+		for i, u := range nbrs {
+			if side[u] == side[v] {
+				g0[u] -= 2 * int64(wts[i])
+			} else {
+				g0[u] += 2 * int64(wts[i])
+			}
+		}
+	}
+}
+
+// assertStartGains checks, at the start of a pass that did not sweep, that
+// every vertex's seeded gain and boundary flag equal a fresh sweep of side.
+// Assertf is reached only on a violation, so a passing check does not
+// allocate.
+func assertStartGains(w *wgraph, side []uint8, g0, deg []int64) {
+	for v := int32(0); int(v) < len(side); v++ {
+		g, boundary := gainAndBoundary(w, side, v)
+		if g0[v] != g || (g0[v]+deg[v] > 0) != boundary {
+			invariants.Assertf(false, "fm pass start: vertex %d seeded with gain %d, boundary %v; a sweep gives %d, %v",
+				v, g0[v], g0[v]+deg[v] > 0, g, boundary)
 		}
 	}
 }
@@ -218,6 +269,22 @@ func assertHeaps(heaps *[2]gainHeap, pos []int32, gain []int64, side []uint8) {
 			}
 		}
 	}
+}
+
+// gainAndDegree returns v's move gain and weighted degree; v lies on the cut
+// iff their sum is positive.
+func gainAndDegree(w *wgraph, side []uint8, v int32) (gain, deg int64) {
+	nbrs, wts := w.neighbors(v)
+	for i, u := range nbrs {
+		wt := int64(wts[i])
+		deg += wt
+		if side[u] == side[v] {
+			gain -= wt
+		} else {
+			gain += wt
+		}
+	}
+	return gain, deg
 }
 
 // gainAndBoundary returns v's move gain and whether it lies on the cut.

@@ -62,11 +62,14 @@ func (h *lazyHeap) pop() {
 
 // refineFMReference is the lazy-heap FM refinement refineFM replaced: every
 // neighbour gain change pushes a fresh entry, and popping discards the stale
-// ones. It is the oracle the indexed heaps must match move for move.
-func refineFMReference(w *wgraph, side []uint8, target0 int64, tol float64, maxPasses int) {
+// ones, and every pass sweeps every row for its start gains. It is the oracle
+// the indexed heaps and the replayed start gains must match move for move.
+// It returns the number of passes that started after a pass with positive
+// best gain, the passes whose start gains refineFM replays.
+func refineFMReference(w *wgraph, side []uint8, target0 int64, tol float64, maxPasses int) (replayed int) {
 	n := w.numVertices()
 	if n == 0 {
-		return
+		return 0
 	}
 	target1 := w.totalVertexWeight() - target0
 	maxW := [2]int64{int64(float64(target0) * tol), int64(float64(target1) * tol)}
@@ -74,6 +77,9 @@ func refineFMReference(w *wgraph, side []uint8, target0 int64, tol float64, maxP
 	locked := make([]bool, n)
 	var heaps [2]lazyHeap
 	for pass := 0; pass < maxPasses; pass++ {
+		if pass > 0 {
+			replayed++
+		}
 		w0, w1 := sideWeights(w, side)
 		weights := [2]int64{w0, w1}
 		heaps[0], heaps[1] = heaps[0][:0], heaps[1][:0]
@@ -154,6 +160,7 @@ func refineFMReference(w *wgraph, side []uint8, target0 int64, tol float64, maxP
 			break
 		}
 	}
+	return replayed
 }
 
 // randomLevel builds a weighted symmetric level: n vertices, a spanning tree
@@ -199,9 +206,11 @@ func randomLevel(r *rng.RNG, n, extra, maxVW int, heavy, disconnected bool) *wgr
 // lazy-heap reference's bisection byte for byte on random weighted levels:
 // loose and tight tolerances (at 1.0 the balance bound blocks heap tops all
 // the time), heavy vertices, disconnected graphs, random and structured
-// starting sides. One fmScratch is reused across every case.
+// starting sides. One fmScratch is reused across every case. At least 100
+// passes must start from replayed gains, so the oracle covers the replay.
 func TestRefineFMMatchesReference(t *testing.T) {
 	s := &fmScratch{}
+	replayed := 0
 	for seed := uint64(1); seed <= 120; seed++ {
 		r := rng.New(seed)
 		n := 2 + r.Intn(600)
@@ -224,13 +233,16 @@ func TestRefineFMMatchesReference(t *testing.T) {
 		}
 		passes := 1 + r.Intn(8)
 		want := slices.Clone(init)
-		refineFMReference(w, want, target0, tol, passes)
+		replayed += refineFMReference(w, want, target0, tol, passes)
 		got := slices.Clone(init)
 		refineFM(w, got, target0, tol, passes, s)
 		if !slices.Equal(got, want) {
 			t.Fatalf("seed %d (n=%d tol=%v heavy=%v disconnected=%v): indexed FM differs from the reference",
 				seed, n, tol, heavy, disconnected)
 		}
+	}
+	if replayed < 100 {
+		t.Fatalf("only %d passes started from replayed gains, want at least 100", replayed)
 	}
 }
 
