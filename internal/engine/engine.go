@@ -58,17 +58,9 @@ type Program interface {
 type Stats struct {
 	// Supersteps executed (may be fewer than requested on convergence).
 	Supersteps int
-	// GatherMessages counts mirror->master accumulator flushes.
-	GatherMessages int64
-	// ApplyMessages counts master->mirror value broadcasts.
-	ApplyMessages int64
-	// ActivateMessages counts activation notices and fan-outs.
-	ActivateMessages int64
-	// GatherBytes, ApplyBytes and ActivateBytes are the wire bytes of the
-	// corresponding message kinds.
-	GatherBytes   int64
-	ApplyBytes    int64
-	ActivateBytes int64
+	// Totals is the run's cumulative traffic by message kind; its counters
+	// and its Messages and Bytes methods are promoted.
+	Totals
 	// TotalReplicas is the number of (vertex, partition) placements.
 	TotalReplicas int
 	// Masters is the number of vertices with at least one edge.
@@ -78,14 +70,6 @@ type Stats struct {
 	// Links is the cumulative per-link p x p traffic matrix.
 	Links *TrafficMatrix
 }
-
-// Messages returns total synchronisation traffic across message kinds.
-func (s Stats) Messages() int64 {
-	return s.GatherMessages + s.ApplyMessages + s.ActivateMessages
-}
-
-// Bytes returns total wire bytes across message kinds.
-func (s Stats) Bytes() int64 { return s.GatherBytes + s.ApplyBytes + s.ActivateBytes }
 
 // Engine executes vertex programs over one partitioned graph. Build it once
 // per assignment; Run may be called repeatedly but not concurrently —
@@ -282,7 +266,6 @@ func (e *Engine) RunWith(prog Program, maxSupersteps int, tr Transport) ([]float
 	}()
 	rsp := obs.Start("engine.run", obs.String("program", prog.Name()),
 		obs.Int("p", e.p), obs.Int("replicas", e.stats.TotalReplicas))
-	var prev Totals
 	for step := 0; step < maxSupersteps && activeMasters > 0; step++ {
 		stats.Supersteps++
 		ssp := rsp.Child("engine.superstep", obs.Int("step", step))
@@ -302,18 +285,16 @@ func (e *Engine) RunWith(prog Program, maxSupersteps int, tr Transport) ([]float
 			activeMasters += m.activeMasters
 		}
 		tot := tr.Totals()
-		delta := tot.Sub(prev)
+		delta := tot.Sub(stats.Totals)
 		stats.PerStep = append(stats.PerStep, delta)
+		stats.Totals = tot
 		assertStepBalanced(e.machines, step, delta)
-		prev = tot
 		ssp.EndWith(obs.Int64("gather_messages", delta.GatherMessages),
 			obs.Int64("apply_messages", delta.ApplyMessages),
 			obs.Int64("activate_messages", delta.ActivateMessages),
 			obs.Int64("bytes", delta.Bytes()),
 			obs.Int("active_masters", activeMasters))
 	}
-	stats.GatherMessages, stats.ApplyMessages, stats.ActivateMessages = prev.GatherMessages, prev.ApplyMessages, prev.ActivateMessages
-	stats.GatherBytes, stats.ApplyBytes, stats.ActivateBytes = prev.GatherBytes, prev.ApplyBytes, prev.ActivateBytes
 	stats.Links = tr.Traffic()
 	assertTrafficConsistent(stats)
 	recordRunMetrics(&stats)

@@ -218,14 +218,16 @@ func testConcurrentSenders(t *testing.T, f Factory) {
 
 // testAccounting checks the cumulative counters: totals match the per-link
 // matrix, bytes are at least the payload (WireSize) bytes, per-kind counts
-// are attributed correctly, and counters accumulate across Flips.
+// and bytes are attributed correctly, and counters accumulate across Flips.
 func testAccounting(t *testing.T, f Factory) {
 	tr := f(t, 3)
 	var wantMsgs, wantPayload int64
+	var kindPayload [3]int64 // indexed by engine.Kind
 	send := func(from, to int, m engine.Message) {
 		tr.Send(from, to, m)
 		wantMsgs++
 		wantPayload += int64(m.WireSize())
+		kindPayload[m.MessageKind()] += int64(m.WireSize())
 	}
 	for phase := 0; phase < 3; phase++ {
 		send(0, 1, &engine.GatherFlush{MasterLocal: 1, Slots: []int32{0, 1}, Contribs: []float64{1, 2}})
@@ -247,6 +249,17 @@ func testAccounting(t *testing.T, f Factory) {
 	}
 	if tot.Bytes() < wantPayload {
 		t.Errorf("Totals().Bytes() = %d, want >= payload bytes %d", tot.Bytes(), wantPayload)
+	}
+	// Each kind's bytes exceed its payload by the same per-message
+	// overhead: 0 in memory, the frame header on a socket.
+	msgs := [3]int64{tot.GatherMessages, tot.ApplyMessages, tot.ActivateMessages}
+	got := [3]int64{tot.GatherBytes, tot.ApplyBytes, tot.ActivateBytes}
+	over := (got[0] - kindPayload[0]) / msgs[0]
+	for k := range msgs {
+		if over < 0 || got[k]-kindPayload[k] != over*msgs[k] {
+			t.Errorf("%v: %d bytes for %d messages of %d payload bytes, want gather's %d-byte overhead per message",
+				engine.Kind(k), got[k], msgs[k], kindPayload[k], over)
+		}
 	}
 	links := tr.Traffic()
 	if links.P() != 3 {

@@ -253,8 +253,8 @@ func (x *Greedy) Partition(g *graph.Graph, p int) (*partition.Assignment, error)
 }
 
 // PartitionStream implements partition.StreamPartitioner, placing edges in
-// the source's arrival order. Memory: O(n) replica bitsets (p <= 64) plus
-// O(p) loads.
+// the source's arrival order. Memory: O(n*ceil(p/64)) replica bitset words
+// plus O(p) loads.
 func (x *Greedy) PartitionStream(src source.EdgeSource, p int) (*partition.Assignment, error) {
 	if err := validateSource(src, p); err != nil {
 		return nil, err

@@ -90,16 +90,19 @@ func runCluster(g *graph.Graph, a *partition.Assignment, prog engine.Program, ma
 	if maxSupersteps < 1 {
 		return nil, engine.Stats{}, nil, fmt.Errorf("wire: need at least one superstep")
 	}
-	spec, err := SpecForProgram(prog)
-	if err != nil {
-		return nil, engine.Stats{}, nil, err
-	}
 	p := a.P()
 	if p > maxMachines {
 		return nil, engine.Stats{}, nil, fmt.Errorf("wire: %d machines, a cluster runs at most %d", p, maxMachines)
 	}
 	if a.NumEdges() != g.NumEdges() {
 		return nil, engine.Stats{}, nil, fmt.Errorf("wire: assignment covers %d edges, graph has %d", a.NumEdges(), g.NumEdges())
+	}
+	// Encode the spec (program, graph, assignment) before any worker
+	// exists, so an unshippable program or an incomplete assignment fails
+	// here instead of after p processes have started.
+	frames, err := specFrames(prog, g, a, maxSupersteps)
+	if err != nil {
+		return nil, engine.Stats{}, nil, err
 	}
 	command, err := opt.commandOrSelf()
 	if err != nil {
@@ -152,11 +155,7 @@ func runCluster(g *graph.Graph, a *partition.Assignment, prog engine.Program, ma
 		}
 	}
 
-	// Ship the spec (program, graph, assignment) to every worker.
-	frames, err := specFrames(spec, g, a, maxSupersteps)
-	if err != nil {
-		return nil, engine.Stats{}, nil, err
-	}
+	// Ship the spec to every worker.
 	if err := c.broadcastRaw(frames); err != nil {
 		return nil, engine.Stats{}, nil, err
 	}
@@ -200,7 +199,6 @@ func runCluster(g *graph.Graph, a *partition.Assignment, prog engine.Program, ma
 	// runs the NumPhases phases Run drives in process, the mesh Flip closing
 	// every phase as the global barrier, and answers with its active-master
 	// count and cumulative traffic totals.
-	var prev engine.Totals
 	for step := 0; step < maxSupersteps && activeMasters > 0; step++ {
 		stats.Supersteps++
 		ssp := sp.Child("wire.cluster.superstep", obs.Int("step", step))
@@ -224,21 +222,15 @@ func runCluster(g *graph.Graph, a *partition.Assignment, prog engine.Program, ma
 			if err != nil {
 				return nil, engine.Stats{}, nil, fmt.Errorf("wire: worker %d: %w", w.id, err)
 			}
-			tot = addTotals(tot, wt)
+			tot = tot.Add(wt)
 		}
-		delta := tot.Sub(prev)
+		delta := tot.Sub(stats.Totals)
 		stats.PerStep = append(stats.PerStep, delta)
-		prev = tot
+		stats.Totals = tot
 		ssp.EndWith(obs.Int64("messages", delta.Messages()),
 			obs.Int64("bytes", delta.Bytes()),
 			obs.Int("active_masters", activeMasters))
 	}
-	stats.GatherMessages = prev.GatherMessages
-	stats.ApplyMessages = prev.ApplyMessages
-	stats.ActivateMessages = prev.ActivateMessages
-	stats.GatherBytes = prev.GatherBytes
-	stats.ApplyBytes = prev.ApplyBytes
-	stats.ActivateBytes = prev.ActivateBytes
 
 	// Finish: collect master values and per-worker traffic rows.
 	n := g.NumVertices()
@@ -246,14 +238,7 @@ func runCluster(g *graph.Graph, a *partition.Assignment, prog engine.Program, ma
 	for v := 0; v < n; v++ {
 		values[v] = prog.Init(graph.Vertex(v), g.Degree(graph.Vertex(v)))
 	}
-	links := &engine.TrafficMatrix{
-		Messages: make([][]int64, p),
-		Bytes:    make([][]int64, p),
-	}
-	for i := 0; i < p; i++ {
-		links.Messages[i] = make([]int64, p)
-		links.Bytes[i] = make([]int64, p)
-	}
+	links := engine.NewTrafficMatrix(p)
 	for _, w := range c.workers {
 		if err := w.writeFrame(frameFinish, nil); err != nil {
 			return nil, engine.Stats{}, nil, fmt.Errorf("wire: finish to worker %d: %w", w.id, err)
@@ -441,12 +426,12 @@ func (c *cluster) teardown() {
 
 // specFrames encodes the full spec stream: one header frame, then the graph
 // edges and edge assignments in bounded chunks.
-func specFrames(spec ProgramSpec, g *graph.Graph, a *partition.Assignment, maxSupersteps int) ([]byte, error) {
+func specFrames(prog engine.Program, g *graph.Graph, a *partition.Assignment, maxSupersteps int) ([]byte, error) {
 	n, m := g.NumVertices(), g.NumEdges()
 	hdr := make([]byte, 0, 4+4+programSpecSize+4+4)
 	hdr = binary.BigEndian.AppendUint32(hdr, uint32(a.P()))
 	hdr = binary.BigEndian.AppendUint32(hdr, uint32(maxSupersteps))
-	hdr, err := appendProgramSpec(hdr, spec)
+	hdr, err := appendProgram(hdr, prog)
 	if err != nil {
 		return nil, err
 	}
@@ -509,17 +494,6 @@ func decodeResult(payload []byte, id, p, n int, values []float64, links *engine.
 		off += 8
 	}
 	return nil
-}
-
-// addTotals sums two totals component-wise.
-func addTotals(a, b engine.Totals) engine.Totals {
-	a.GatherMessages += b.GatherMessages
-	a.ApplyMessages += b.ApplyMessages
-	a.ActivateMessages += b.ActivateMessages
-	a.GatherBytes += b.GatherBytes
-	a.ApplyBytes += b.ApplyBytes
-	a.ActivateBytes += b.ActivateBytes
-	return a
 }
 
 // MaybeWorker turns the process into a cluster worker when EnvWorker is set:
@@ -707,11 +681,7 @@ func readSpec(link *workerLink) (*graph.Graph, *partition.Assignment, engine.Pro
 	if n > math.MaxInt32 || m > math.MaxInt32 {
 		return nil, nil, nil, fmt.Errorf("spec header: %d vertices and %d edges, want at most %d each", n, m, math.MaxInt32)
 	}
-	spec, err := decodeProgramSpec(payload[8 : 8+programSpecSize])
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	prog, err := spec.Build()
+	prog, err := decodeProgram(payload[8 : 8+programSpecSize])
 	if err != nil {
 		return nil, nil, nil, err
 	}

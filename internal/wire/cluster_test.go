@@ -3,10 +3,14 @@ package wire_test
 import (
 	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	graphpart "github.com/graphpart/graphpart"
 	"github.com/graphpart/graphpart/internal/engine"
+	"github.com/graphpart/graphpart/internal/graph"
+	"github.com/graphpart/graphpart/internal/partition"
 	"github.com/graphpart/graphpart/internal/wire"
 )
 
@@ -150,5 +154,41 @@ func TestClusterRejectsUnknownProgram(t *testing.T) {
 	_, _, err = wire.RunCluster(g, a, &unregistered{}, 5, nil)
 	if err == nil {
 		t.Fatal("RunCluster accepted a program with no wire spec")
+	}
+}
+
+// TestClusterRefusesBeforeSpawn checks that RunCluster rejects input it
+// cannot ship before it starts a worker. The worker command does not exist,
+// so a check that ran after the spawn loop would surface as "start worker 0"
+// instead of the row's own error, and the p = 1025 row cannot start 1025
+// processes.
+func TestClusterRefusesBeforeSpawn(t *testing.T) {
+	g := oracleGraph(5, 30, 30)
+	assign := func(p int, skip int) *partition.Assignment {
+		a := partition.MustNew(g.NumEdges(), p)
+		for id := 0; id < g.NumEdges(); id++ {
+			if id != skip {
+				a.Assign(graph.EdgeID(id), id%p)
+			}
+		}
+		return a
+	}
+	opt := &wire.ClusterOptions{Command: []string{filepath.Join(t.TempDir(), "no-such-worker")}}
+	for _, tc := range []struct {
+		name string
+		a    *partition.Assignment
+		prog engine.Program
+		want string
+	}{
+		{"p=1025", assign(1025, -1), &engine.Components{}, "at most 1024"},
+		{"unassigned edge", assign(2, 7), &engine.Components{}, "edge 7 is unassigned"},
+		{"unknown program", assign(2, -1), &unregistered{}, "only pagerank/components/sssp"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, err := wire.RunCluster(g, tc.a, tc.prog, 5, opt)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RunCluster error %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -251,41 +252,33 @@ func (unknownMessage) MessageKind() engine.Kind { return engine.Kind(99) }
 func (unknownMessage) WireSize() int            { return 0 }
 
 func TestProgramSpecRoundTrip(t *testing.T) {
-	specs := []ProgramSpec{
-		{Name: "pagerank", Damping: 0.85, Tolerance: 1e-8, N: 600},
-		{Name: "components"},
-		{Name: "sssp", Source: 17},
+	progs := []engine.Program{
+		&engine.PageRank{Damping: 0.85, Tolerance: 1e-8, N: 600},
+		&engine.Components{},
+		&engine.SSSP{Source: 17},
 	}
-	for _, want := range specs {
-		buf, err := appendProgramSpec(nil, want)
+	for _, want := range progs {
+		buf, err := appendProgram(nil, want)
 		if err != nil {
-			t.Fatalf("%s: %v", want.Name, err)
+			t.Fatalf("%s: %v", want.Name(), err)
 		}
-		got, err := decodeProgramSpec(buf)
+		if len(buf) != programSpecSize {
+			t.Fatalf("%s: encoding is %d bytes, want %d", want.Name(), len(buf), programSpecSize)
+		}
+		got, err := decodeProgram(buf)
 		if err != nil {
-			t.Fatalf("%s: %v", want.Name, err)
+			t.Fatalf("%s: %v", want.Name(), err)
 		}
-		if got != want {
-			t.Fatalf("spec round trip: got %+v, want %+v", got, want)
-		}
-		prog, err := got.Build()
-		if err != nil {
-			t.Fatalf("%s: %v", want.Name, err)
-		}
-		spec2, err := SpecForProgram(prog)
-		if err != nil {
-			t.Fatalf("%s: %v", want.Name, err)
-		}
-		if spec2 != want {
-			t.Fatalf("program spec drift: got %+v, want %+v", spec2, want)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("program round trip: got %#v, want %#v", got, want)
 		}
 	}
-	if _, err := decodeProgramSpec(make([]byte, programSpecSize-1)); err == nil {
-		t.Fatal("short program spec accepted")
+	if _, err := decodeProgram(make([]byte, programSpecSize-1)); err == nil {
+		t.Fatal("short program encoding accepted")
 	}
 	bad := make([]byte, programSpecSize)
 	bad[0] = 0x7f
-	if _, err := decodeProgramSpec(bad); err == nil {
+	if _, err := decodeProgram(bad); err == nil {
 		t.Fatal("unknown program kind byte accepted")
 	}
 }
@@ -318,7 +311,7 @@ func TestReadSpecRejectsDuplicateEdges(t *testing.T) {
 	}
 	a.Assign(0, 0)
 	a.Assign(1, 0)
-	frames, err := specFrames(ProgramSpec{Name: "components"}, g, a, 10)
+	frames, err := specFrames(&engine.Components{}, g, a, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

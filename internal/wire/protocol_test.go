@@ -79,7 +79,7 @@ func specGraph() (*graph.Graph, *partition.Assignment) {
 // validSpec encodes specGraph's spec stream for a PageRank run.
 func validSpec(t testing.TB) []byte {
 	g, a := specGraph()
-	frames, err := specFrames(ProgramSpec{Name: "pagerank", Damping: 0.85, Tolerance: 1e-9, N: g.NumVertices()}, g, a, 20)
+	frames, err := specFrames(&engine.PageRank{Damping: 0.85, Tolerance: 1e-9, N: g.NumVertices()}, g, a, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

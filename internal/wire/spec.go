@@ -9,109 +9,64 @@ import (
 	"github.com/graphpart/graphpart/internal/graph"
 )
 
-// ProgramSpec is the serializable description of a vertex program — what a
-// cluster coordinator ships to worker processes so each can rebuild an
-// identical engine.Program. Only the registered program set is supported;
-// an unknown program cannot cross a process boundary.
-type ProgramSpec struct {
-	// Name is the program family: "pagerank", "components" or "sssp".
-	Name string
-	// Damping and Tolerance parameterize pagerank.
-	Damping, Tolerance float64
-	// N is pagerank's vertex count (the teleport denominator).
-	N int
-	// Source is sssp's source vertex.
-	Source graph.Vertex
-}
-
-// progKind bytes for the wire encoding of a ProgramSpec.
+// progKind bytes name the three programs that cross a process boundary in
+// the spec header's program encoding.
 const (
 	progPageRank   byte = 1
 	progComponents byte = 2
 	progSSSP       byte = 3
 )
 
-// SpecForProgram derives the wire spec of prog.
-func SpecForProgram(prog engine.Program) (ProgramSpec, error) {
+const programSpecSize = 1 + 8 + 8 + 4 + 4
+
+// appendProgram appends the fixed-size program encoding a cluster
+// coordinator ships to its workers:
+// u8 kind | f64 damping | f64 tolerance | u32 n | u32 source, with the
+// fields a program does not have left zero. Only PageRank, Components and
+// SSSP can be encoded.
+func appendProgram(buf []byte, prog engine.Program) ([]byte, error) {
+	var (
+		kind               byte
+		damping, tolerance float64
+		n, source          uint32
+	)
 	switch p := prog.(type) {
 	case *engine.PageRank:
-		return ProgramSpec{Name: "pagerank", Damping: p.Damping, Tolerance: p.Tolerance, N: p.N}, nil
+		kind, damping, tolerance, n = progPageRank, p.Damping, p.Tolerance, uint32(p.N)
 	case *engine.Components:
-		return ProgramSpec{Name: "components"}, nil
+		kind = progComponents
 	case *engine.SSSP:
-		return ProgramSpec{Name: "sssp", Source: p.Source}, nil
+		kind, source = progSSSP, uint32(p.Source)
 	default:
-		return ProgramSpec{}, fmt.Errorf("wire: program %q has no wire spec; only pagerank/components/sssp cross process boundaries", prog.Name())
+		return nil, fmt.Errorf("wire: program %q has no wire encoding; only pagerank/components/sssp cross process boundaries", prog.Name())
 	}
-}
-
-// Build reconstructs the program the spec describes.
-func (s ProgramSpec) Build() (engine.Program, error) {
-	switch s.Name {
-	case "pagerank":
-		return &engine.PageRank{Damping: s.Damping, Tolerance: s.Tolerance, N: s.N}, nil
-	case "components":
-		return &engine.Components{}, nil
-	case "sssp":
-		return &engine.SSSP{Source: s.Source}, nil
-	default:
-		return nil, fmt.Errorf("wire: unknown program spec %q", s.Name)
-	}
-}
-
-// kindByte returns the wire byte for the spec's program family.
-func (s ProgramSpec) kindByte() (byte, error) {
-	switch s.Name {
-	case "pagerank":
-		return progPageRank, nil
-	case "components":
-		return progComponents, nil
-	case "sssp":
-		return progSSSP, nil
-	default:
-		return 0, fmt.Errorf("wire: unknown program spec %q", s.Name)
-	}
-}
-
-// appendProgramSpec appends the fixed-size spec encoding:
-// u8 kind | f64 damping | f64 tolerance | u32 n | u32 source.
-func appendProgramSpec(buf []byte, s ProgramSpec) ([]byte, error) {
-	kb, err := s.kindByte()
-	if err != nil {
-		return nil, err
-	}
-	buf = append(buf, kb)
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(s.Damping))
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(s.Tolerance))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(s.N))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(s.Source))
+	buf = append(buf, kind)
+	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(damping))
+	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(tolerance))
+	buf = binary.BigEndian.AppendUint32(buf, n)
+	buf = binary.BigEndian.AppendUint32(buf, source)
 	return buf, nil
 }
 
-const programSpecSize = 1 + 8 + 8 + 4 + 4
-
-// decodeProgramSpec decodes an appendProgramSpec encoding.
-func decodeProgramSpec(b []byte) (ProgramSpec, error) {
+// decodeProgram rebuilds the program an appendProgram encoding describes.
+func decodeProgram(b []byte) (engine.Program, error) {
 	if len(b) != programSpecSize {
-		return ProgramSpec{}, fmt.Errorf("wire: program spec is %d bytes, want %d", len(b), programSpecSize)
-	}
-	s := ProgramSpec{
-		Damping:   math.Float64frombits(binary.BigEndian.Uint64(b[1:9])),
-		Tolerance: math.Float64frombits(binary.BigEndian.Uint64(b[9:17])),
-		N:         int(int32(binary.BigEndian.Uint32(b[17:21]))),
-		Source:    graph.Vertex(binary.BigEndian.Uint32(b[21:25])),
+		return nil, fmt.Errorf("wire: program encoding is %d bytes, want %d", len(b), programSpecSize)
 	}
 	switch b[0] {
 	case progPageRank:
-		s.Name = "pagerank"
+		return &engine.PageRank{
+			Damping:   math.Float64frombits(binary.BigEndian.Uint64(b[1:9])),
+			Tolerance: math.Float64frombits(binary.BigEndian.Uint64(b[9:17])),
+			N:         int(int32(binary.BigEndian.Uint32(b[17:21]))),
+		}, nil
 	case progComponents:
-		s.Name = "components"
+		return &engine.Components{}, nil
 	case progSSSP:
-		s.Name = "sssp"
+		return &engine.SSSP{Source: graph.Vertex(binary.BigEndian.Uint32(b[21:25]))}, nil
 	default:
-		return ProgramSpec{}, fmt.Errorf("wire: unknown program kind byte %#02x", b[0])
+		return nil, fmt.Errorf("wire: unknown program kind byte %#02x", b[0])
 	}
-	return s, nil
 }
 
 // appendTotals appends the six engine.Totals counters.

@@ -12,9 +12,6 @@ import (
 	"github.com/graphpart/graphpart/internal/engine"
 )
 
-// kindCount mirrors the engine's message-kind count for per-kind counters.
-const kindCount = 3
-
 // batch is one barrier-delimited delivery on one incoming link.
 type batch struct {
 	seq  uint32
@@ -54,16 +51,10 @@ type TCPTransport struct {
 	// inConns are the accepted sides, kept for Close.
 	inConns []net.Conn
 
-	// pendingSelf[k] buffers from==to sends (the engine never issues them,
-	// but the MemTransport contract supports them).
-	pendingSelf [][]engine.Message
-	// delivered[from][to] is inbox to's drainable batch per sender, for
-	// local to. Written by Flip, consumed by Drain(to); the caller's
-	// barrier (never Flip concurrent with Drain) orders the two.
-	delivered [][][]engine.Message
-	// drain[k] is inbox k's reusable drain buffer; each Drain(k) refills it
-	// in place, honouring the interface's valid-until-next-Drain contract.
-	drain [][]engine.Message
+	// in holds the local inboxes: Flip delivers each incoming link's
+	// batch into it, and from==to sends (the engine never issues them, but
+	// the MemTransport contract supports them) go straight in.
+	in *engine.Inboxes
 
 	// mu guards ready, failed and closed; cond wakes Flip when a reader
 	// banks a barrier-delimited batch.
@@ -74,11 +65,8 @@ type TCPTransport struct {
 	closed bool
 	seq    uint32
 
-	// Traffic counters, single-writer per sender row like MemTransport's.
-	msgs      [][]int64
-	bytes     [][]int64
-	kindMsgs  [][kindCount]int64
-	kindBytes [][kindCount]int64
+	// ledger counts framed message bytes on the local senders' rows.
+	ledger *engine.Ledger
 	// controlBytes counts barrier/hello framing overhead — transport cost
 	// that is not message traffic and stays out of Totals.
 	controlBytes atomic.Int64
@@ -116,10 +104,9 @@ func newMesh(p int, localIDs []int) (*TCPTransport, error) {
 		listeners: make([]net.Listener, p),
 		conns:     make([][]net.Conn, p),
 		writers:   make([][]*meshWriter, p),
-		msgs:      make([][]int64, p),
-		bytes:     make([][]int64, p),
-		kindMsgs:  make([][kindCount]int64, p),
-		kindBytes: make([][kindCount]int64, p),
+		in:        engine.NewInboxes(p),
+		ledger:    engine.NewLedger(p),
+		ready:     make([][][]batch, p),
 	}
 	t.cond = sync.NewCond(&t.mu)
 	for _, k := range localIDs {
@@ -133,16 +120,9 @@ func newMesh(p int, localIDs []int) (*TCPTransport, error) {
 	}
 	t.localIDs = append([]int(nil), localIDs...)
 	sort.Ints(t.localIDs)
-	t.pendingSelf = make([][]engine.Message, p)
-	t.delivered = make([][][]engine.Message, p)
-	t.drain = make([][]engine.Message, p)
-	t.ready = make([][][]batch, p)
 	for from := 0; from < p; from++ {
 		t.conns[from] = make([]net.Conn, p)
 		t.writers[from] = make([]*meshWriter, p)
-		t.msgs[from] = make([]int64, p)
-		t.bytes[from] = make([]int64, p)
-		t.delivered[from] = make([][]engine.Message, p)
 		t.ready[from] = make([][]batch, p)
 	}
 	return t, nil
@@ -374,28 +354,19 @@ func (t *TCPTransport) Send(from, to int, m engine.Message) {
 		panic(fmt.Sprintf("wire: Send from machine %d, which is not hosted here", from))
 	}
 	if from == to {
-		t.pendingSelf[from] = append(t.pendingSelf[from], m)
-		t.account(from, to, m, FramedSize(m))
+		t.in.Deliver(from, to, m)
+		t.ledger.Count(from, to, m.MessageKind(), FramedSize(m))
 		return
 	}
 	w := t.writers[from][to]
 	before := len(w.buf)
 	w.buf = AppendMessage(w.buf, m)
-	t.account(from, to, m, len(w.buf)-before)
+	t.ledger.Count(from, to, m.MessageKind(), len(w.buf)-before)
 	if len(w.buf) >= meshWriterFlushAt {
 		if err := w.flush(); err != nil {
 			panic(fmt.Sprintf("wire: send on link %d->%d: %v", from, to, err))
 		}
 	}
-}
-
-// account books one message on the sender's single-writer counter row.
-func (t *TCPTransport) account(from, to int, m engine.Message, framed int) {
-	t.msgs[from][to]++
-	t.bytes[from][to] += int64(framed)
-	k := m.MessageKind()
-	t.kindMsgs[from][k]++
-	t.kindBytes[from][k] += int64(framed)
 }
 
 // Flip implements engine.Transport: every local sender closes the phase
@@ -415,10 +386,6 @@ func (t *TCPTransport) Flip() {
 				}
 				t.controlBytes.Add(FrameHeaderSize + 4)
 			}
-		}
-		if len(t.pendingSelf[from]) > 0 {
-			t.delivered[from][from] = append(t.delivered[from][from], t.pendingSelf[from]...)
-			t.pendingSelf[from] = t.pendingSelf[from][:0]
 		}
 	}
 	t.mu.Lock()
@@ -448,11 +415,12 @@ func (t *TCPTransport) Flip() {
 			// Shift in place (at most two batches are ever queued) so
 			// the queue reuses its backing array.
 			t.ready[from][to] = q[:copy(q, q[1:])]
-			if len(b.msgs) > 0 {
-				t.delivered[from][to] = append(t.delivered[from][to], b.msgs...)
+			for _, m := range b.msgs {
+				t.in.Deliver(from, to, m)
 			}
 		}
 	}
+	t.in.Flip()
 }
 
 // allBarriered reports whether every incoming link has banked the batch for
@@ -471,57 +439,23 @@ func (t *TCPTransport) allBarriered() bool {
 	return true
 }
 
-// Drain implements engine.Transport: inbox k, grouped by ascending sender
-// id with per-sender order preserved. k must be hosted locally. The batch
-// is collected into inbox k's reusable buffer (valid until the next
-// Drain(k)), so steady-state drains allocate nothing.
+// Drain implements engine.Transport. k must be hosted locally.
 func (t *TCPTransport) Drain(k int) []engine.Message {
 	if k < 0 || k >= t.p || !t.local[k] {
 		panic(fmt.Sprintf("wire: Drain of inbox %d, which is not hosted here", k))
 	}
-	out := t.drain[k][:0]
-	for from := 0; from < t.p; from++ {
-		q := t.delivered[from][k]
-		if len(q) == 0 {
-			continue
-		}
-		out = append(out, q...)
-		t.delivered[from][k] = q[:0]
-	}
-	t.drain[k] = out
-	return out
+	return t.in.Drain(k)
 }
 
 // Totals implements engine.Transport. Bytes are framed wire bytes
 // (payload + FrameHeaderSize per message); control framing (barriers,
 // hellos) is reported separately by ControlBytes.
-func (t *TCPTransport) Totals() engine.Totals {
-	var out engine.Totals
-	for from := 0; from < t.p; from++ {
-		out.GatherMessages += t.kindMsgs[from][engine.KindGatherFlush]
-		out.ApplyMessages += t.kindMsgs[from][engine.KindApplyBroadcast]
-		out.ActivateMessages += t.kindMsgs[from][engine.KindActivate]
-		out.GatherBytes += t.kindBytes[from][engine.KindGatherFlush]
-		out.ApplyBytes += t.kindBytes[from][engine.KindApplyBroadcast]
-		out.ActivateBytes += t.kindBytes[from][engine.KindActivate]
-	}
-	return out
-}
+func (t *TCPTransport) Totals() engine.Totals { return t.ledger.Totals() }
 
 // Traffic implements engine.Transport: a copy of this process's sender-side
 // per-link matrix (remote senders' rows are zero; the cluster coordinator
 // merges per-worker rows into the full matrix).
-func (t *TCPTransport) Traffic() *engine.TrafficMatrix {
-	out := &engine.TrafficMatrix{
-		Messages: make([][]int64, t.p),
-		Bytes:    make([][]int64, t.p),
-	}
-	for i := 0; i < t.p; i++ {
-		out.Messages[i] = append([]int64(nil), t.msgs[i]...)
-		out.Bytes[i] = append([]int64(nil), t.bytes[i]...)
-	}
-	return out
-}
+func (t *TCPTransport) Traffic() *engine.TrafficMatrix { return t.ledger.Traffic() }
 
 // ControlBytes returns the framing overhead spent on barrier and hello
 // frames — wire cost that is real but is not message traffic.

@@ -62,8 +62,9 @@ func NewDatasetSource(d Dataset, seed uint64) EdgeSource {
 }
 
 // StreamMetrics computes the full quality metrics of a complete assignment
-// in one pass over an EdgeSource, without a CSR; it requires p <= 64 and
-// equals ComputeMetrics on the corresponding graph.
+// in one pass over an EdgeSource, without a CSR, at any p (its presence
+// sets use ceil(p/64) words per vertex), and equals ComputeMetrics on the
+// corresponding graph.
 func StreamMetrics(src EdgeSource, a *Assignment) (Metrics, error) {
 	return partition.StreamMetrics(src, a)
 }
